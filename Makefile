@@ -51,12 +51,13 @@ batch-smoke:
 replay-smoke:
 	$(GO) test -count=1 -run 'TestGoldenFiles|TestReplayDisabledMatchesGoldens' ./internal/harness
 
-# The gang-equivalence smoke: a multi-platform grid measured through
-# the gang drain and cell by cell must agree counter for counter, and
-# the full golden grid rendered gang-off must stay byte-identical to
-# the same files the ganged default renders.
+# The gang-equivalence smoke: a multi-platform grid measured as gangs
+# and with every cell its own unit (a gang of one) must agree counter
+# for counter, an overflowing gang must still execute the workload
+# once per pass for all of its platforms, and gangs of one and three
+# must match the straight-line Section 4.3 reference.
 gang-smoke:
-	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestGangDisabledMatchesGoldens' ./internal/harness
+	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestProtocolMatchesReference' ./internal/harness
 
 # The compression-equivalence smoke: the full golden grid rendered
 # with recorded traces in the columnar compressed arena (the default;
@@ -73,7 +74,7 @@ compress-smoke:
 # grid, plus the result cross-checks against their reference
 # operators. Cheap enough for every push; the nightly full grid
 # additionally diffs the scenario cells across the unbatched /
-# replay-off / gang-off paths.
+# replay-off paths.
 scenario-smoke:
 	$(GO) test -count=1 -run 'TestScenarioGoldens|TestScenarioResultsConsistent|TestScenarioSystemASkipsBRS' ./internal/harness
 
@@ -89,14 +90,16 @@ op-smoke:
 
 # The warm-start smoke: the tracestore package (corrupt-input and
 # fuzz-seed regressions included), the snapshot/store equivalence
-# tests, then the real CLI run twice against one store directory —
+# tests, the store-key tests (an entry written at another scale or
+# TPC-D record size must never answer), then the real CLI run twice
+# against one store directory —
 # stdout must be byte-identical cold vs warm, and the warm run's
 # stderr stats line must report nonzero entry hits (proof the second
 # run actually started from the store, not from zero).
 STORE_SMOKE_DIR := /tmp/wheretime-store-smoke
 store-smoke:
 	$(GO) test -count=1 ./internal/tracestore
-	$(GO) test -count=1 -run 'TestSnapshotRestoreMatchesDrain|TestStoreWarmHits|TestStoreDirOptionFlushes' ./internal/harness
+	$(GO) test -count=1 -run 'TestSnapshotRestoreMatchesDrain|TestStoreWarmHits|TestStoreDirOptionFlushes|TestStoreKeyNames' ./internal/harness
 	rm -rf $(STORE_SMOKE_DIR) && mkdir -p $(STORE_SMOKE_DIR)
 	$(GO) run ./cmd/wheretime -experiment fig5.1 -scale 0.002 -store $(STORE_SMOKE_DIR)/store \
 		> $(STORE_SMOKE_DIR)/cold.out 2> $(STORE_SMOKE_DIR)/cold.err

@@ -272,25 +272,33 @@ func gangSweepGrid(opts harness.Options) []harness.CellSpec {
 
 // BenchmarkGangSweep measures a three-platform sweep through the gang
 // drain (each cell's workload runs once, all platforms drain the one
-// stream) against the sequential path (each platform re-runs or
-// re-reads the stream). The ratio is what the multi-config gang buys.
+// stream) against the sequential path (each spec its own unit on one
+// environment, so every platform re-runs or re-reads the stream). The
+// ratio is what the multi-config gang buys.
 func BenchmarkGangSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		gang bool
-	}{{"gang", true}, {"sequential", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			opts := benchOptions()
-			opts.Gang = mode.gang
-			specs := gangSweepGrid(opts)
-			for i := 0; i < b.N; i++ {
-				if _, err := harness.Measure(opts, specs, 1); err != nil {
+	opts := benchOptions()
+	specs := gangSweepGrid(opts)
+	b.Run("gang", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := harness.Measure(opts, specs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			env, err := harness.NewEnv(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, spec := range specs {
+				if _, err := env.RunSpec(spec); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
+			env.Close()
+		}
+	})
 }
 
 // BenchmarkGridSerialUnbatched runs the full grid through the

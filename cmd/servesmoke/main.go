@@ -11,7 +11,9 @@
 //     a single gang — one simulation for the whole burst — and every
 //     response is byte-identical to a -gangwindow=0 control server's;
 //  4. SIGTERM under load drains: the in-flight request completes, the
-//     store flushes, and the process exits 0.
+//     store flushes, and the process exits 0;
+//  5. SIGTERM sent the moment /readyz first answers 200 drains too: the
+//     daemon subscribes to the signal before it listens.
 //
 // The in-process fault-injection suite (internal/server) proves the
 // same properties with deterministic faults; this command proves them
@@ -150,6 +152,22 @@ type healthz struct {
 		Quarantined  int `json:"quarantined"`
 		EntriesAdded int `json:"entriesAdded"`
 	} `json:"store"`
+}
+
+// waitReady polls /readyz until it first answers 200.
+func waitReady(addr string) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return fmt.Errorf("/readyz never answered 200")
 }
 
 func getHealth(addr string) (healthz, error) {
@@ -384,5 +402,25 @@ func run() error {
 		return fmt.Errorf("no drain confirmation in stderr:\n%s", p.stderrText())
 	}
 	fmt.Println("servesmoke: SIGTERM drained cleanly, store flushed, exit 0")
+
+	// 5. SIGTERM at readiness: signal the instant /readyz first answers
+	// 200. The handler must already be installed, so the daemon drains
+	// and exits 0 rather than dying to the default signal action.
+	early, err := start(bin, filepath.Join(tmp, "store-early"))
+	if err != nil {
+		return err
+	}
+	defer early.cmd.Process.Kill()
+	if err := waitReady(early.addr); err != nil {
+		return err
+	}
+	code, err = early.stop()
+	if err != nil {
+		return err
+	}
+	if code != 0 || !strings.Contains(early.stderrText(), "wheretimed: drained") {
+		return fmt.Errorf("SIGTERM at readiness: exit code %d; stderr:\n%s", code, early.stderrText())
+	}
+	fmt.Println("servesmoke: SIGTERM at first readiness drained cleanly, exit 0")
 	return nil
 }

@@ -26,8 +26,7 @@
 // combination in a single grid, and cells that differ only in
 // platform gang into one multi-config drain: the workload executes
 // once per cell and every platform's counters come from that single
-// pass (disable with -gang=false to drain each platform separately —
-// the output must not change).
+// pass.
 package main
 
 import (
@@ -77,7 +76,6 @@ func main() {
 		recsize     = flag.Int("recsize", 100, "record size in bytes")
 		l2kb        = flag.String("l2kb", "", "override L2 cache size in KB; a comma-separated list sweeps platforms in one ganged grid (0 or empty = Table 4.1's 512)")
 		btb         = flag.String("btb", "", "override BTB entries; a comma-separated list sweeps platforms (0 or empty = Pentium II's 512)")
-		gang        = flag.Bool("gang", true, "gang cells that differ only in platform config into one multi-config drain (off: drain each platform separately, for debugging; output is identical)")
 		parallel    = flag.Int("parallel", harness.DefaultParallelism(), "worker count for the experiment grid (1 = serial)")
 		maxrec      = flag.Int("maxrecorded", 0, "recording cap in events for the record-once/replay-many engine (0 = default, negative disables replay)")
 		compress    = flag.Bool("compress", true, "keep recorded traces in the columnar compressed arena (off: raw []Event chunks, ~8x the memory; output is identical)")
@@ -127,7 +125,6 @@ func main() {
 	} else {
 		opts.TraceCacheBytes = *cachemb << 20
 	}
-	opts.Gang = *gang
 	opts.Snapshot = *snapshot
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

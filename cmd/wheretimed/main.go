@@ -103,6 +103,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Subscribe before listening: once /readyz can answer, a SIGTERM
+	// must already mean "drain", not the default kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -114,8 +119,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(os.Stderr, err)

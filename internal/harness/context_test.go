@@ -141,6 +141,34 @@ func TestMeasureContextMidRunCancel(t *testing.T) {
 	}
 }
 
+// TestTPCDReexecutionChecksContext: with recording off, the TPC-D
+// suite's measured pass re-executes all its queries, so the context is
+// checked before it as before every re-executed micro pass. The
+// countdown lets the unit's entry check pass and fires at the
+// between-passes one: the cell must stop after one suite pass, holding
+// no trace buffers.
+func TestTPCDReexecutionChecksContext(t *testing.T) {
+	c0, e0, b0 := trace.LiveBuffers()
+	opts := DefaultOptions()
+	opts.Scale = 0.002
+	opts.MaxRecordedEvents = -1
+	opts.Context = &countdownCtx{Context: context.Background(), left: 2}
+	env, err := NewEnv(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.RunTPCD(engine.SystemD); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from the between-passes barrier", err)
+	}
+	if got, want := env.Engine(engine.SystemD).Executions(), uint64(len(env.Dims.TPCDQueries())); got != want {
+		t.Errorf("engine executed %d queries, want one suite pass of %d", got, want)
+	}
+	if c, e, b := trace.LiveBuffers(); c != c0 || e != e0 || b != b0 {
+		t.Errorf("cancelled cell leaked buffers: chunks %d->%d encBufs %d->%d blocks %d->%d",
+			c0, c, e0, e, b0, b)
+	}
+}
+
 // TestMeasureContextDeadline: an expired deadline surfaces as a typed
 // timeout — errors.Is(err, context.DeadlineExceeded) — through the
 // PartialError wrapper.

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"os"
 	"testing"
 
 	"wheretime/internal/engine"
@@ -11,11 +10,10 @@ import (
 // The gang-drain equivalence suite. The multi-config gang drain may
 // change how cells are scheduled and how many times a stream is
 // emitted or read — never a single counter of a single cell. These
-// tests pin that: the same specs measured gang-on and gang-off (and
-// through the grid at different worker counts) must agree on every
-// counter, stall component and hardware rate, and the full golden
-// grid rendered with the gang disabled must stay byte-identical to
-// the checked-in files.
+// tests pin that: the same specs measured as gangs of K and each as
+// its own unit (a gang of one), and through the grid at different
+// worker counts, must agree on every counter, stall component and
+// hardware rate.
 
 // gangSweepConfigs returns platforms that stress different simulator
 // structures: the paper's platform, a 2MB L2, a big BTB, and halved
@@ -65,9 +63,28 @@ func compareCells(t *testing.T, spec CellSpec, got, want Cell) {
 	}
 }
 
+// measureEach measures every spec as its own unit — a gang of one —
+// on a single Env, in order: the sequential reference the gangs are
+// compared against.
+func measureEach(t *testing.T, opts Options, specs []CellSpec) map[CellSpec]Cell {
+	t.Helper()
+	env, err := NewEnv(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	cells := make(map[CellSpec]Cell, len(specs))
+	for _, spec := range specs {
+		if cells[spec], err = env.RunSpec(spec); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+	}
+	return cells
+}
+
 // TestGangMatchesSequential measures a multi-platform grid twice —
 // ganged (one pass per emission key feeding all platforms) and
-// sequential (each cell drained alone) — and asserts every counter of
+// sequential (each cell its own unit) — and asserts every counter of
 // every platform's cell is identical.
 func TestGangMatchesSequential(t *testing.T) {
 	opts := DefaultOptions()
@@ -84,22 +101,13 @@ func TestGangMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := opts
-	seq.Gang = false
-	solo, err := Measure(seq, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := measureEach(t, opts, specs)
 	for _, spec := range specs {
 		g, err := gang.Get(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := solo.Get(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareCells(t, spec, g, s)
+		compareCells(t, spec, g, solo[spec])
 	}
 }
 
@@ -128,30 +136,6 @@ func TestGangParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareCells(t, spec, p, s)
-	}
-}
-
-// TestGangDisabledMatchesGoldens renders the full experiment grid
-// with the gang drain disabled and diffs it against the same goldens
-// the ganged default renders: the gang-off debugging path may not
-// change a single byte of any figure.
-func TestGangDisabledMatchesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid in -short mode")
-	}
-	opts := goldenOptions()
-	opts.Gang = false
-	got := renderGolden(t, opts)
-	for _, e := range Experiments() {
-		t.Run(e.Name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(e.Name))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFiles with -update first): %v", err)
-			}
-			if got[e.Name] != string(want) {
-				t.Errorf("gang-disabled output differs from golden for %s", e.Name)
-			}
-		})
 	}
 }
 

@@ -69,6 +69,29 @@ func emissionKey(spec CellSpec) CellSpec {
 	return spec
 }
 
+// unitKey resolves the key a unit is measured, cached and stored
+// under: the spec's emission key with every field its kind ignores
+// zeroed and the environment's defaults filled in. A micro cell keeps
+// its query, selectivity and record size; the TPC-D suite is fixed
+// (no query, no selectivity) but runs over the options' dataset, so it
+// takes the options' record size whatever the spec says; TPC-C runs
+// over its own database and keeps only the transaction count. The
+// measurement derives this once per unit and uses it for every
+// member's tally, and TallyKey resolves a spec the same way, so both
+// name the same entries.
+func unitKey(opts Options, spec CellSpec) CellSpec {
+	key := CellSpec{Kind: spec.Kind, System: spec.System}
+	switch spec.Kind {
+	case CellMicro:
+		key.Query, key.Selectivity, key.RecordSize = spec.Query, spec.Selectivity, spec.RecordSize
+	case CellTPCD:
+		key.RecordSize = opts.RecordSize
+	case CellTPCC:
+		key.Txns = spec.Txns
+	}
+	return key
+}
+
 // configFor resolves a spec's platform: its explicit Config, or the
 // environment's when the spec leaves it zero.
 func (env *Env) configFor(spec CellSpec) xeon.Config {
@@ -112,25 +135,15 @@ func microCell(opts Options, s engine.System, q QueryKind) CellSpec {
 
 // RunSpec measures one grid cell against this environment, building
 // and caching a sub-environment when the cell's record size differs
-// from the base. Not safe for concurrent use — the concurrent grid
-// gives each worker a private Env via EnvFactory.
+// from the base: a gang of one (see RunGang). Not safe for concurrent
+// use — the concurrent grid gives each worker a private Env via
+// EnvFactory.
 func (env *Env) RunSpec(spec CellSpec) (Cell, error) {
-	cfg := env.configFor(spec)
-	switch spec.Kind {
-	case CellTPCD:
-		return env.runTPCDMemo(spec.System, cfg)
-	case CellTPCC:
-		cell, _, err := env.runTPCCCfg(spec.System, spec.Txns, cfg)
-		return cell, err
-	case CellMicro:
-		target, err := env.microTarget(spec)
-		if err != nil {
-			return Cell{}, err
-		}
-		return target.runMemo(spec.System, spec.Query, cfg)
-	default:
-		return Cell{}, fmt.Errorf("harness: unknown cell kind %d", spec.Kind)
+	cells, err := env.RunGang([]CellSpec{spec})
+	if err != nil {
+		return Cell{}, err
 	}
+	return cells[0], nil
 }
 
 // microTarget routes a micro cell to the environment it measures in:
@@ -160,29 +173,12 @@ func (env *Env) microTarget(spec CellSpec) (*Env, error) {
 // key (same system, query and workload parameters) and differ only in
 // platform configuration. The whole gang is one work unit on one
 // multi-config drain — the engine executes (or the recording is read)
-// once for all K configurations. Each cell's counters are
-// bit-identical to measuring it alone; the golden suite runs the grid
-// both gang-on and gang-off against the same files.
+// once for all K configurations (see measure). Each cell's counters
+// are bit-identical to measuring it alone, which
+// TestGangMatchesSequential pins.
 func (env *Env) RunGang(unit []CellSpec) ([]Cell, error) {
-	cfgs := make([]xeon.Config, len(unit))
-	for i := range unit {
-		cfgs[i] = env.configFor(unit[i])
-	}
-	spec := unit[0]
-	switch spec.Kind {
-	case CellTPCD:
-		return env.runGangTPCD(unit, cfgs)
-	case CellTPCC:
-		return env.runGangTPCC(unit, cfgs)
-	case CellMicro:
-		target, err := env.microTarget(spec)
-		if err != nil {
-			return nil, err
-		}
-		return target.runGangMicro(unit, cfgs)
-	default:
-		return nil, fmt.Errorf("harness: unknown cell kind %d", spec.Kind)
-	}
+	cells, _, err := env.measure(unit)
+	return cells, err
 }
 
 // subEnv returns the cached environment rebuilt at the given record
@@ -215,8 +211,9 @@ func (env *Env) subEnv(recordSize int) (*Env, error) {
 // cellTrace is one cached capture: the recorded stream of a cell
 // (one run of a micro query, one suite pass for TPC-D, the measured
 // mix for TPC-C, whose warm-up slice rides along in warm) plus the
-// execution results replay cannot recompute. A cellTrace is immutable
-// once stored; replays only read it.
+// execution results replay cannot recompute. A live run that captured
+// nothing returns its results in one with nil streams, which is never
+// stored. A cellTrace is immutable once stored; replays only read it.
 type cellTrace struct {
 	stream *trace.Recording
 	warm   *trace.Recording
@@ -424,15 +421,15 @@ func dedupeSpecs(specs []CellSpec) []CellSpec {
 	return out
 }
 
-// gangUnits partitions deduplicated specs into scheduler work units.
-// With the gang drain enabled, cells sharing an emission-relevant key
-// — the same key the trace cache uses, everything but the platform
-// Config — form one multi-config unit; order is first-seen, so the
-// serial path remains deterministic. With it disabled (or on the
-// unbatched reference path, which measures one event at a time), every
-// cell is its own unit.
+// gangUnits partitions deduplicated specs into scheduler work units:
+// cells sharing an emission-relevant key — the same key the trace
+// cache uses, everything but the platform Config — form one
+// multi-config unit; order is first-seen, so the serial path remains
+// deterministic. The unbatched reference path measures one event at a
+// time and every cell alone, so it stays an independent check on the
+// gang fan-out.
 func gangUnits(opts Options, specs []CellSpec) [][]CellSpec {
-	if !opts.Gang || opts.Unbatched {
+	if opts.Unbatched {
 		units := make([][]CellSpec, len(specs))
 		for i, s := range specs {
 			units[i] = []CellSpec{s}
@@ -455,23 +452,11 @@ func gangUnits(opts Options, specs []CellSpec) [][]CellSpec {
 	return units
 }
 
-// measureUnit runs one work unit on an environment: the gang drain
-// when enabled, the per-cell path otherwise.
-func measureUnit(env *Env, unit []CellSpec, gang bool) ([]Cell, error) {
-	if gang {
-		cells, err := env.RunGang(unit)
-		if err != nil {
-			return nil, fmt.Errorf("gang of %d x %s: %w", len(unit), unit[0], err)
-		}
-		return cells, nil
-	}
-	cells := make([]Cell, len(unit))
-	for i, spec := range unit {
-		c, err := env.RunSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("cell %s: %w", spec, err)
-		}
-		cells[i] = c
+// measureUnit runs one work unit on an environment.
+func measureUnit(env *Env, unit []CellSpec) ([]Cell, error) {
+	cells, err := env.RunGang(unit)
+	if err != nil {
+		return nil, fmt.Errorf("gang of %d x %s: %w", len(unit), unit[0], err)
 	}
 	return cells, nil
 }
@@ -528,7 +513,6 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 	}
 	opts.Context = ctx
 	specs = dedupeSpecs(specs)
-	gang := opts.Gang && !opts.Unbatched
 	units := gangUnits(opts, specs)
 	res := &Results{cells: make(map[CellSpec]Cell, len(specs))}
 
@@ -568,7 +552,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 			if cerr := ctx.Err(); cerr != nil {
 				return res, finish(&PartialError{Done: done, Total: len(units), Err: cerr})
 			}
-			cells, err := measureUnit(env, unit, gang)
+			cells, err := measureUnit(env, unit)
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					// The unit stopped at an in-cell cancellation
@@ -608,7 +592,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 					registered = true
 				}
 				var cells []Cell
-				cells, err = measureUnit(env, units[i], gang)
+				cells, err = measureUnit(env, units[i])
 				outcomes[i] = outcome{cells: cells, err: err}
 			} else {
 				outcomes[i] = outcome{err: err}
@@ -656,7 +640,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 // rather than split, because silently batching incompatible cells is
 // exactly the failure mode the gang key exists to prevent. Each
 // cell's result is bit-identical to measuring it alone, which
-// TestMeasureGangMatchesMeasure pins against the gang-off path.
+// TestMeasureGangMatchesMeasure pins.
 func MeasureGang(opts Options, specs []CellSpec) (*Results, error) {
 	return MeasureGangContext(context.Background(), opts, specs)
 }
@@ -679,7 +663,6 @@ func MeasureGangContext(ctx context.Context, opts Options, specs []CellSpec) (*R
 			return nil, fmt.Errorf("harness: MeasureGang: %s does not share an emission key with %s", s, specs[0])
 		}
 	}
-	opts.Gang = true
 	return MeasureContext(ctx, opts, specs, 1)
 }
 

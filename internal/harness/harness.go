@@ -103,14 +103,6 @@ type Options struct {
 	// both ways and diffs them. Slower — for verification, not for
 	// experiments.
 	Unbatched bool
-	// Gang enables the multi-config gang drain: grid cells that differ
-	// only in platform Config group into single work units measured in
-	// one pass over their shared event stream through a
-	// xeon.MultiPipeline (see Measure and RunGang). Off, every cell
-	// drains its stream separately — the debugging reference; outputs
-	// are byte-identical either way, which the golden suite checks.
-	// DefaultOptions enables it.
-	Gang bool
 	// MaxRecordedEvents caps the event count of one record-once /
 	// replay-many capture: a cell whose stream exceeds the cap falls
 	// back to re-executing every run (so huge decision-support suites
@@ -248,7 +240,6 @@ func DefaultOptions() Options {
 		Selectivity: 0.10,
 		Config:      xeon.DefaultConfig(),
 		Warmup:      1,
-		Gang:        true,
 		Snapshot:    true,
 	}
 }
@@ -274,9 +265,10 @@ type Env struct {
 	pax     *workload.Database
 	engines [4]*engine.Engine
 
-	// memo caches measured cells at the env's own options, so several
-	// figures over the same cells don't re-simulate.
-	memo map[memoKey]Cell
+	// memo caches measured cells at the env's own options, keyed by
+	// unit key plus platform, so several figures over the same cells
+	// don't re-simulate.
+	memo map[CellSpec]Cell
 
 	// subenvs caches environments rebuilt at other record sizes (the
 	// record-size sweeps), keyed by record size.
@@ -303,13 +295,6 @@ type Env struct {
 	// oltpBuf is the reusable emission buffer OLTP runs fill, re-bound
 	// per run instead of reallocated per run.
 	oltpBuf *trace.Buffer
-}
-
-type memoKey struct {
-	s   engine.System
-	q   QueryKind
-	sel float64
-	cfg xeon.Config
 }
 
 // Dims returns the dataset dimensions these options build, without
@@ -340,7 +325,7 @@ func NewEnv(opts Options) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{Opts: opts, Dims: dims, nsm: nsm, pax: pax,
-		memo: make(map[memoKey]Cell), subenvs: make(map[int]*Env)}
+		memo: make(map[CellSpec]Cell), subenvs: make(map[int]*Env)}
 	if opts.maxRecorded() >= 0 {
 		env.traces = newTraceCache(opts.traceCacheBytes())
 		if opts.Snapshot {
@@ -446,172 +431,10 @@ func (env *Env) planFor(s engine.System, q QueryKind, query string) (*sql.Plan, 
 // Run measures one (system, query) cell: warm-up runs, counter reset,
 // then one measured run, the warm-cache protocol of Section 4.3 —
 // with the engine executing once and the recorded stream replayed for
-// the repeat runs (see run). Results are memoised per (system, query,
-// selectivity, platform).
+// the repeat runs (see measure). Results are memoised per (system,
+// query, selectivity, platform).
 func (env *Env) Run(s engine.System, q QueryKind) (Cell, error) {
-	return env.runMemo(s, q, env.Opts.Config)
-}
-
-// ctxErr reports the environment's cancellation state: nil without a
-// context (or before cancellation), an error wrapping ctx.Err() after.
-// It is the check every between-cells and between-runs barrier makes;
-// the wrapped error satisfies errors.Is(err, context.Canceled) or
-// (err, context.DeadlineExceeded).
-func (env *Env) ctxErr() error {
-	if ctx := env.Opts.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("harness: cancelled: %w", err)
-		}
-	}
-	return nil
-}
-
-// runMemo is Run on an explicit platform configuration.
-func (env *Env) runMemo(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, err
-	}
-	key := memoKey{s: s, q: q, sel: env.Opts.Selectivity, cfg: cfg}
-	if env.memo != nil {
-		if c, ok := env.memo[key]; ok {
-			return c, nil
-		}
-	}
-	c, err := env.run(s, q, cfg)
-	if err == nil && env.memo != nil {
-		env.memo[key] = c
-	}
-	return c, err
-}
-
-// processor returns the event sink a measurement feeds: the pipeline
-// itself (batched drain), or its unbatched reference wrapper when the
-// options ask for the per-event path.
-func (env *Env) processor(p trace.Processor) trace.Processor {
-	if env.Opts.Unbatched {
-		return trace.Unbatched{Processor: p}
-	}
-	return p
-}
-
-// newRecorder returns a recorder capturing the sink's input into the
-// worker's trace arena — columnar-compressed unless the options keep
-// the raw layout — or nil when recording is disabled.
-func (env *Env) newRecorder(sink trace.Processor) *trace.Recorder {
-	if env.traces == nil {
-		return nil
-	}
-	rec := trace.NewRecorder(sink, env.Opts.maxRecorded())
-	rec.SetRawArena(env.Opts.UncompressedArena)
-	return rec
-}
-
-// finishCell assembles and validates the measured breakdown.
-func finishCell(s engine.System, q QueryKind, what string, pipe *xeon.Pipeline, res engine.Result) (Cell, error) {
-	b := pipe.Breakdown()
-	if err := b.Validate(); err != nil {
-		return Cell{}, fmt.Errorf("harness: %s/%s breakdown invalid: %w", s, what, err)
-	}
-	return Cell{System: s, Query: q, Breakdown: b, Rates: pipe.Rates(), Result: res}, nil
-}
-
-// run measures one (system, query) cell under the record-once /
-// replay-many protocol. Every run of the cell — warm-up or measured —
-// starts from reset engine emission state, so every run emits the
-// byte-identical event stream and the stream is a pure function of the
-// cell spec. The first execution is captured by a Recorder interposed
-// on the batch flush path; the remaining warm-up runs and the measured
-// run drain the captured chunks straight back into the pipeline with
-// zero re-emission. If recording is disabled (Unbatched, negative
-// MaxRecordedEvents) or the stream overflows the cap, every run
-// re-executes the engine instead — the slower path with the identical
-// event sequence, which the replay-smoke CI step diffs against.
-func (env *Env) run(s engine.System, q QueryKind, cfg xeon.Config) (Cell, error) {
-	query, ok := env.queryFor(s, q)
-	if !ok {
-		return Cell{}, fmt.Errorf("harness: system %s does not run %s", s, q)
-	}
-	runs := env.Opts.Warmup + 1
-	key := CellSpec{Kind: CellMicro, System: s, Query: q,
-		Selectivity: env.Opts.Selectivity, RecordSize: env.Opts.RecordSize}
-
-	// A stored tally is the deepest warm start: the finished breakdown
-	// for this exact (cell, platform, warm-up count), written by a
-	// previous process, with no simulation at all.
-	if cell, _, ok := env.lookupTally(key, cfg, s, q); ok {
-		return cell, nil
-	}
-
-	pipe := xeon.New(cfg)
-
-	// A capture hit — in this worker's cache or loaded from the store —
-	// skips the engine entirely: the recorded stream feeds every run of
-	// the warm-cache protocol, with the snapshot layer skipping the
-	// runs whose outcome is already known.
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmSolo(pipe, ct.stream, key, cfg, runs, 0)
-		cell, err := finishCell(s, q, q.String(), pipe, ct.result)
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putTally(key, cfg, cell, nil)
-		}
-		return cell, err
-	}
-
-	e := env.engines[s]
-	plan, err := env.planFor(s, q, query)
-	if err != nil {
-		return Cell{}, err
-	}
-
-	// First execution, captured in flight when recording is enabled.
-	rec := env.newRecorder(pipe)
-	var proc trace.Processor = env.processor(pipe)
-	if rec != nil {
-		proc = rec
-	}
-	if runs == 1 {
-		pipe.ResetStats() // the first execution is the measured run
-	}
-	e.ResetState()
-	res, err := e.Run(plan, proc)
-	if err != nil {
-		return Cell{}, err
-	}
-
-	// Remaining warm-up runs and the measured run: replay the capture,
-	// or re-execute from reset state when no capture exists. The
-	// re-execution loop is the slow leg, so it checks for cancellation
-	// between runs; replay drains are pure in-memory passes and run to
-	// completion (nothing to leak, nothing slow to interrupt).
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmSolo(pipe, rec.Recording(), key, cfg, runs, 1)
-	} else {
-		for i := 1; i < runs; i++ {
-			if err := env.ctxErr(); err != nil {
-				return Cell{}, err
-			}
-			if i == runs-1 {
-				pipe.ResetStats()
-			}
-			e.ResetState()
-			if res, err = e.Run(plan, env.processor(pipe)); err != nil {
-				return Cell{}, err
-			}
-		}
-	}
-	if rec != nil && !rec.Overflowed() {
-		ct := &cellTrace{stream: rec.Recording(), result: res}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	}
-	cell, err := finishCell(s, q, q.String(), pipe, res)
-	if err == nil {
-		env.putTally(key, cfg, cell, nil)
-	}
-	return cell, err
+	return env.RunSpec(microCell(env.Opts, s, q))
 }
 
 // RunAll measures every valid (system, query) cell, scenario kinds
@@ -637,93 +460,7 @@ func (env *Env) RunAll() ([]Cell, error) {
 // returns the summed breakdown (the paper reports TPC-D averages).
 // Results are memoised.
 func (env *Env) RunTPCD(s engine.System) (Cell, error) {
-	return env.runTPCDMemo(s, env.Opts.Config)
-}
-
-// runTPCDMemo is RunTPCD on an explicit platform configuration.
-func (env *Env) runTPCDMemo(s engine.System, cfg xeon.Config) (Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, err
-	}
-	key := memoKey{s: s, q: QueryKind(-1), cfg: cfg}
-	if env.memo != nil {
-		if c, ok := env.memo[key]; ok {
-			return c, nil
-		}
-	}
-	c, err := env.runTPCD(s, cfg)
-	if err == nil && env.memo != nil {
-		env.memo[key] = c
-	}
-	return c, err
-}
-
-// runTPCD measures the decision-support suite under the same
-// record-once protocol as run: one pass over the 17 queries is one
-// "run" of the cell, every pass starts from reset engine state and so
-// emits the identical stream, and the measured pass replays the
-// captured warm-up pass (planning included — replay skips the SQL
-// front end entirely).
-func (env *Env) runTPCD(s engine.System, cfg xeon.Config) (Cell, error) {
-	// The suite's stream depends on the dataset dimensions but not on
-	// the selectivity knob (the 17 queries are fixed), so selectivity
-	// shifts of the same environment share one capture.
-	key := CellSpec{Kind: CellTPCD, System: s, RecordSize: env.Opts.RecordSize}
-
-	if cell, _, ok := env.lookupTally(key, cfg, s, 0); ok {
-		return cell, nil
-	}
-
-	pipe := xeon.New(cfg)
-	// The TPC-D protocol is one warm-up pass plus the measured pass —
-	// two runs, independent of Options.Warmup.
-	const tpcdRuns = 2
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmSolo(pipe, ct.stream, key, cfg, tpcdRuns, 0)
-		cell, err := finishCell(s, 0, "TPC-D", pipe, engine.Result{})
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putTally(key, cfg, cell, nil)
-		}
-		return cell, err
-	}
-
-	e := env.engines[s]
-	queries := env.Dims.TPCDQueries()
-	rec := env.newRecorder(pipe)
-	var proc trace.Processor = env.processor(pipe)
-	if rec != nil {
-		proc = rec
-	}
-	// Warm-up pass over the suite, captured in flight.
-	e.ResetState()
-	for _, q := range queries {
-		if _, err := e.Query(q, proc); err != nil {
-			return Cell{}, err
-		}
-	}
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmSolo(pipe, rec.Recording(), key, cfg, tpcdRuns, 1)
-		ct := &cellTrace{stream: rec.Recording()}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	} else {
-		pipe.ResetStats()
-		e.ResetState()
-		for _, q := range queries {
-			if _, err := e.Query(q, env.processor(pipe)); err != nil {
-				return Cell{}, err
-			}
-		}
-	}
-	cell, err := finishCell(s, 0, "TPC-D", pipe, engine.Result{})
-	if err == nil {
-		env.putTally(key, cfg, cell, nil)
-	}
-	return cell, err
+	return env.RunSpec(CellSpec{Kind: CellTPCD, System: s})
 }
 
 // RunTPCC runs the OLTP mix on one system. Unlike the read-only
@@ -732,119 +469,159 @@ func (env *Env) runTPCD(s engine.System, cfg xeon.Config) (Cell, error) {
 // executes both for real; what the recorder buys here is the
 // cross-cell cache: a revisit of the same (system, txns) cell replays
 // both captured phases into a fresh pipeline without rebuilding the
-// database or executing a single transaction.
+// database or executing a single transaction. TPC-C is not memoised,
+// so every call takes that path.
 func (env *Env) RunTPCC(s engine.System, txns int) (Cell, workload.TPCCStats, error) {
-	return env.runTPCCCfg(s, txns, env.Opts.Config)
-}
-
-// runTPCCCfg is RunTPCC on an explicit platform configuration.
-func (env *Env) runTPCCCfg(s engine.System, txns int, cfg xeon.Config) (Cell, workload.TPCCStats, error) {
-	if err := env.ctxErr(); err != nil {
-		return Cell{}, workload.TPCCStats{}, err
-	}
-	key := CellSpec{Kind: CellTPCC, System: s, Txns: txns}
-	if cell, stats, ok := env.lookupTally(key, cfg, s, 0); ok && stats != nil {
-		return cell, *stats, nil
-	}
-
-	pipe := xeon.New(cfg)
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.warmOLTP(pipe, ct, key, cfg)
-		pipe.ResetStats()
-		ct.stream.Drain(pipe)
-		cell, err := finishCell(s, 0, "TPC-C", pipe, engine.Result{})
-		stats := ct.stats
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putTally(key, cfg, cell, &stats)
-		}
-		return cell, stats, err
-	}
-
-	stats, err := env.runOLTP(s, txns, pipe, key, func() {
-		if env.snapshotOn() {
-			env.snapStore(key, cfg, pipe.Snapshot(nil))
-		}
-	})
+	cells, stats, err := env.measure([]CellSpec{{Kind: CellTPCC, System: s, Txns: txns}})
 	if err != nil {
 		return Cell{}, stats, err
 	}
-	cell, err := finishCell(s, 0, "TPC-C", pipe, engine.Result{})
-	if err == nil {
-		env.putTally(key, cfg, cell, &stats)
-	}
-	return cell, stats, err
+	return cells[0], stats, nil
 }
 
-// measureSink is the drain a measurement protocol feeds: a solo
-// pipeline or a multi-config gang.
-type measureSink interface {
-	trace.BatchProcessor
-	ResetStats()
+// ctxErr reports the environment's cancellation state: nil without a
+// context (or before cancellation), an error wrapping ctx.Err() after.
+// It is the check every between-units and between-passes barrier
+// makes; the wrapped error satisfies errors.Is(err, context.Canceled)
+// or (err, context.DeadlineExceeded).
+func (env *Env) ctxErr() error {
+	if ctx := env.Opts.Context; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("harness: cancelled: %w", err)
+		}
+	}
+	return nil
 }
 
-// runOLTP executes the OLTP mix for real: warm-up slice, counter
-// reset, measured mix, with both phases captured for cache revisits.
-// The whole mix emits through the env's reusable buffer (re-bound per
-// phase, never reallocated), preserving today's program order exactly.
-// meas is the drain — a solo pipeline or a gang — whose counters the
-// caller extracts afterwards. postWarm runs between the warm-up
-// slice's flush and the counter reset: the caller's chance to
-// snapshot the post-warm-up machine state for future revisits.
-func (env *Env) runOLTP(s engine.System, txns int, meas measureSink, key CellSpec, postWarm func()) (workload.TPCCStats, error) {
-	dims := workload.DefaultTPCCDims()
-	db, err := workload.BuildTPCC(dims)
-	if err != nil {
-		return workload.TPCCStats{}, err
+// newRecorder returns a recorder capturing the sink's input into the
+// worker's trace arena — columnar-compressed unless the options keep
+// the raw layout — or nil when recording is disabled.
+func (env *Env) newRecorder(sink trace.Processor) *trace.Recorder {
+	if env.traces == nil {
+		return nil
 	}
-	e := engine.New(s, db.Catalog)
+	rec := trace.NewRecorder(sink, env.Opts.maxRecorded())
+	rec.SetRawArena(env.Opts.UncompressedArena)
+	return rec
+}
 
-	sink := func(rec *trace.Recorder) trace.Processor {
-		if rec != nil {
-			return rec
+// captured returns a recorder's complete capture: nil when there was
+// no recorder or its stream overflowed the cap (an overflowed recorder
+// has already released what it held).
+func captured(rec *trace.Recorder) *trace.Recording {
+	if rec == nil {
+		return nil
+	}
+	return rec.Recording()
+}
+
+// sink returns what a live pass emits into: the recorder capturing it
+// in flight, else the gang itself — through the one-call-per-event
+// reference wrapper when the options ask for the unbatched path.
+func (env *Env) sink(rec *trace.Recorder, multi *xeon.MultiPipeline) trace.Processor {
+	switch {
+	case rec != nil:
+		return rec
+	case env.Opts.Unbatched:
+		return trace.Unbatched{Processor: multi}
+	default:
+		return multi
+	}
+}
+
+// passes is the number of identical passes a cell kind's protocol
+// runs, the measured pass last: Options.Warmup warm-up runs plus one
+// for a micro query; one warm-up pass plus one for the TPC-D suite,
+// independent of Options.Warmup; a single measured mix for TPC-C,
+// whose warm-up is the distinct slice run before it (see source).
+func (env *Env) passes(kind CellKind) int {
+	switch kind {
+	case CellMicro:
+		return env.Opts.Warmup + 1
+	case CellTPCD:
+		return 2
+	default:
+		return 1
+	}
+}
+
+// source is one cell kind's workload: what the protocol executes when
+// no capture exists. Everything else — tallies, captures, replay,
+// snapshots, re-execution — is common to every kind and lives in
+// measure.
+type source struct {
+	// warm, when set, is a distinct warm-up phase run once before the
+	// passes: TPC-C's slice of the mix, which mutates the database the
+	// measured mix then runs over.
+	warm func(sink trace.Processor) error
+	// pass emits one pass into sink and fills in the results replay
+	// cannot recompute. Micro and TPC-D passes start from reset engine
+	// state, so every pass emits the byte-identical stream — a pure
+	// function of the unit key — and a capture of the first replays
+	// exactly for the rest.
+	pass func(sink trace.Processor, out *cellTrace) error
+}
+
+// newSource builds the unit's workload: a micro query's plan, the
+// 17-query TPC-D suite, or a freshly built TPC-C database whose mix
+// emits through the env's reusable buffer (re-bound per phase, never
+// reallocated).
+func (env *Env) newSource(key CellSpec) (source, error) {
+	s := key.System
+	switch key.Kind {
+	case CellMicro:
+		query, ok := env.queryFor(s, key.Query)
+		if !ok {
+			return source{}, fmt.Errorf("harness: system %s does not run %s", s, key.Query)
 		}
-		return env.processor(meas)
-	}
-	// Warm up with a slice of the mix.
-	warmRec := env.newRecorder(meas)
-	buf := env.emitBuffer(sink(warmRec))
-	if _, err := workload.RunTPCC(db, e, buf, txns/4+1); err != nil {
-		return workload.TPCCStats{}, err
-	}
-	buf.Flush()
-	if postWarm != nil {
-		postWarm()
-	}
-	meas.ResetStats()
-	var measRec *trace.Recorder
-	if warmRec != nil && !warmRec.Overflowed() {
-		// Only worth capturing the measured mix if the warm-up slice
-		// fit: a cache entry needs both phases.
-		measRec = env.newRecorder(meas)
-	}
-	buf.Bind(sink(measRec))
-	stats, err := workload.RunTPCC(db, e, buf, txns)
-	if err != nil {
-		return stats, err
-	}
-	buf.Flush()
-	if warmRec != nil && !warmRec.Overflowed() {
-		if measRec != nil && !measRec.Overflowed() {
-			ct := &cellTrace{
-				warm: warmRec.Recording(), stream: measRec.Recording(), stats: stats}
-			env.putStoredTrace(key, ct)
-			env.traces.store(key, ct)
-		} else {
-			// The measured mix overflowed its cap, so no cache entry forms
-			// and the warm-slice capture is useless on its own: release its
-			// arena back to the free lists now instead of holding it until
-			// the env dies. (The overflowed recorder released its own.)
-			warmRec.Recording().Release()
+		plan, err := env.planFor(s, key.Query, query)
+		if err != nil {
+			return source{}, err
 		}
+		e := env.engines[s]
+		return source{pass: func(sink trace.Processor, out *cellTrace) (err error) {
+			e.ResetState()
+			out.result, err = e.Run(plan, sink)
+			return err
+		}}, nil
+	case CellTPCD:
+		e, queries := env.engines[s], env.Dims.TPCDQueries()
+		return source{pass: func(sink trace.Processor, _ *cellTrace) error {
+			e.ResetState()
+			for _, q := range queries {
+				if _, err := e.Query(q, sink); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}, nil
+	case CellTPCC:
+		db, err := workload.BuildTPCC(workload.DefaultTPCCDims())
+		if err != nil {
+			return source{}, err
+		}
+		e := engine.New(s, db.Catalog)
+		mix := func(sink trace.Processor, txns int) (workload.TPCCStats, error) {
+			buf := env.emitBuffer(sink)
+			stats, err := workload.RunTPCC(db, e, buf, txns)
+			if err == nil {
+				buf.Flush()
+			}
+			return stats, err
+		}
+		return source{
+			warm: func(sink trace.Processor) error {
+				_, err := mix(sink, key.Txns/4+1)
+				return err
+			},
+			pass: func(sink trace.Processor, out *cellTrace) (err error) {
+				out.stats, err = mix(sink, key.Txns)
+				return err
+			},
+		}, nil
+	default:
+		return source{}, fmt.Errorf("harness: unknown cell kind %d", key.Kind)
 	}
-	return stats, nil
 }
 
 // emitBuffer returns the env's reusable emission buffer bound to sink
@@ -859,220 +636,138 @@ func (env *Env) emitBuffer(sink trace.Processor) *trace.Buffer {
 	return env.oltpBuf
 }
 
-// finishGang extracts one cell per ganged configuration from the
-// multi-config drain, in unit order.
-func finishGang(unit []CellSpec, what string, multi *xeon.MultiPipeline, res engine.Result) ([]Cell, error) {
+// measure runs the Section 4.3 protocol for one work unit: cells that
+// share an emission key and differ only in platform, measured together
+// on one xeon.MultiPipeline — a single cell is a gang of one. One pass
+// over the unit's stream feeds all K configurations, so the engine
+// executes (or the arena is read) once instead of K times. Every cell
+// kind takes the same steps, in this order: memo or tally lookup; a
+// capture hit, replayed (see drainWarm); otherwise the first pass
+// executed live and captured in flight, the remaining passes replayed
+// from that capture or re-executed (see execute); the capture stored;
+// the cells finished; the tallies put. The kinds differ only in what a
+// pass emits (see source).
+func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
+	if err := env.ctxErr(); err != nil {
+		return nil, workload.TPCCStats{}, err
+	}
+	if unit[0].Kind == CellMicro {
+		target, err := env.microTarget(unit[0])
+		if err != nil {
+			return nil, workload.TPCCStats{}, err
+		}
+		env = target
+	}
+	key := unitKey(env.Opts, unit[0])
+	cfgs := make([]xeon.Config, len(unit))
+	for i := range unit {
+		cfgs[i] = env.configFor(unit[i])
+	}
+	if cells, stats, ok := env.recall(key, cfgs); ok {
+		return cells, stats, nil
+	}
+
+	multi := xeon.NewMulti(cfgs)
+	ct, fromStore := env.cellStream(key)
+	if ct != nil {
+		env.drainWarm(multi, ct, key, cfgs, env.passes(key.Kind), 0)
+		if fromStore {
+			// Filed only after its last drain: inserting a capture over
+			// the cache budget releases it on the spot.
+			env.traces.store(key, ct)
+		}
+	} else {
+		var err error
+		if ct, err = env.execute(multi, key, cfgs); err != nil {
+			return nil, workload.TPCCStats{}, err
+		}
+	}
+
 	cells := make([]Cell, len(unit))
 	for i := range unit {
-		c, err := finishCell(unit[i].System, unit[i].Query, what, multi.Pipe(i), res)
-		if err != nil {
+		pipe := multi.Pipe(i)
+		b := pipe.Breakdown()
+		if err := b.Validate(); err != nil {
+			return nil, workload.TPCCStats{}, fmt.Errorf("harness: %s breakdown invalid: %w", unit[i], err)
+		}
+		cells[i] = Cell{System: key.System, Query: key.Query, Breakdown: b, Rates: pipe.Rates(), Result: ct.result}
+	}
+	for i, cfg := range cfgs {
+		env.remember(key, cfg, cells[i])
+		env.putTally(key, cfg, cells[i], ct.stats)
+	}
+	return cells, ct.stats, nil
+}
+
+// execute runs the unit's workload live, every configuration draining
+// the one emitted stream: the warm phase (if any) and the first pass
+// captured in flight, then the remaining passes replayed from the
+// capture. When nothing was captured — recording off (Unbatched,
+// negative MaxRecordedEvents) or the stream overflowed the cap — the
+// remaining passes re-execute from reset state instead: the slower
+// path with the identical event sequence, which the replay-smoke CI
+// step diffs against. Re-execution is the slow leg, so it checks for
+// cancellation between passes; replay drains are in-memory passes that
+// run to completion (nothing to leak, nothing slow to interrupt). A
+// complete capture is stored for revisits. The returned cellTrace
+// carries the results; its streams are nil when nothing was captured.
+func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec, cfgs []xeon.Config) (*cellTrace, error) {
+	src, err := env.newSource(key)
+	if err != nil {
+		return nil, err
+	}
+	passes := env.passes(key.Kind)
+	out := &cellTrace{}
+	var rec *trace.Recorder
+	if src.warm != nil {
+		warmRec := env.newRecorder(multi)
+		if err := src.warm(env.sink(warmRec, multi)); err != nil {
 			return nil, err
 		}
-		cells[i] = c
-	}
-	return cells, nil
-}
-
-// runGangMicro measures one micro cell's gang: K platform
-// configurations over the identical emitted stream, under exactly the
-// protocol of run — every run starts from reset engine state, the
-// first execution is captured in flight, and warm-up plus measured
-// runs drain the capture. One pass over each stream feeds all K
-// configurations, so the engine executes (or the arena is read) once
-// instead of K times; if the stream overflows the recording cap, the
-// fallback re-executes the engine per run, still emitting once for
-// the whole gang.
-func (env *Env) runGangMicro(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return nil, err
-	}
-	s, q := unit[0].System, unit[0].Query
-	query, ok := env.queryFor(s, q)
-	if !ok {
-		return nil, fmt.Errorf("harness: system %s does not run %s", s, q)
-	}
-	runs := env.Opts.Warmup + 1
-	key := CellSpec{Kind: CellMicro, System: s, Query: q,
-		Selectivity: env.Opts.Selectivity, RecordSize: env.Opts.RecordSize}
-
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, q); ok {
-		return cells, nil
-	}
-
-	multi := xeon.NewMulti(cfgs)
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmGang(multi, ct.stream, key, cfgs, runs, 0)
-		cells, err := finishGang(unit, q.String(), multi, ct.result)
-		if fromStore {
-			env.traces.store(key, ct)
+		// A capture needs every phase: the pass is only worth recording
+		// if the warm phase fit the cap.
+		if out.warm = captured(warmRec); out.warm != nil {
+			rec = env.newRecorder(multi)
 		}
-		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, nil)
-		}
-		return cells, err
-	}
-
-	e := env.engines[s]
-	plan, err := env.planFor(s, q, query)
-	if err != nil {
-		return nil, err
-	}
-
-	rec := env.newRecorder(multi)
-	var proc trace.Processor = multi
-	if rec != nil {
-		proc = rec
-	}
-	if runs == 1 {
-		multi.ResetStats() // the first execution is the measured run
-	}
-	e.ResetState()
-	res, err := e.Run(plan, proc)
-	if err != nil {
-		return nil, err
-	}
-
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmGang(multi, rec.Recording(), key, cfgs, runs, 1)
 	} else {
-		for i := 1; i < runs; i++ {
-			if err := env.ctxErr(); err != nil {
-				return nil, err
-			}
-			if i == runs-1 {
-				multi.ResetStats()
-			}
-			e.ResetState()
-			if res, err = e.Run(plan, multi); err != nil {
-				return nil, err
-			}
+		rec = env.newRecorder(multi)
+	}
+	if passes == 1 {
+		// The first pass is the measured one. A warm phase has just
+		// brought the pipelines to the post-warm-up point; a revisit
+		// restores that state instead of draining the warm capture.
+		if src.warm != nil && env.snapshotOn() {
+			env.snapStoreAll(key, cfgs, multi.Snapshot(nil))
 		}
+		multi.ResetStats()
 	}
-	if rec != nil && !rec.Overflowed() {
-		ct := &cellTrace{stream: rec.Recording(), result: res}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	}
-	cells, err := finishGang(unit, q.String(), multi, res)
-	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, nil)
-	}
-	return cells, err
-}
-
-// runGangTPCD measures one system's TPC-D gang under the protocol of
-// runTPCD: a captured warm-up pass replayed for the measured pass,
-// re-execution when the suite's stream overflows the cap — either way
-// one emission or arena pass for all K configurations.
-func (env *Env) runGangTPCD(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
+	if err := src.pass(env.sink(rec, multi), out); err != nil {
 		return nil, err
 	}
-	s := unit[0].System
-	key := CellSpec{Kind: CellTPCD, System: s, RecordSize: env.Opts.RecordSize}
 
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, 0); ok {
-		return cells, nil
+	if out.stream = captured(rec); out.stream != nil {
+		env.drainWarm(multi, out, key, cfgs, passes, 1)
+		env.putStoredTrace(key, out)
+		env.traces.store(key, out)
+		return out, nil
 	}
-
-	multi := xeon.NewMulti(cfgs)
-	const tpcdRuns = 2
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.drainWarmGang(multi, ct.stream, key, cfgs, tpcdRuns, 0)
-		cells, err := finishGang(unit, "TPC-D", multi, engine.Result{})
-		if fromStore {
-			env.traces.store(key, ct)
+	if out.warm != nil {
+		// The pass overflowed its cap, so no capture forms and the warm
+		// capture is useless on its own: release it now instead of
+		// holding it until the env dies.
+		out.warm.Release()
+		out.warm = nil
+	}
+	for i := 1; i < passes; i++ {
+		if err := env.ctxErr(); err != nil {
+			return nil, err
 		}
-		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, nil)
+		if i == passes-1 {
+			multi.ResetStats()
 		}
-		return cells, err
-	}
-
-	e := env.engines[s]
-	queries := env.Dims.TPCDQueries()
-	rec := env.newRecorder(multi)
-	var proc trace.Processor = multi
-	if rec != nil {
-		proc = rec
-	}
-	e.ResetState()
-	for _, q := range queries {
-		if _, err := e.Query(q, proc); err != nil {
+		if err := src.pass(env.sink(nil, multi), out); err != nil {
 			return nil, err
 		}
 	}
-	if rec != nil && !rec.Overflowed() {
-		env.drainWarmGang(multi, rec.Recording(), key, cfgs, tpcdRuns, 1)
-		ct := &cellTrace{stream: rec.Recording()}
-		env.putStoredTrace(key, ct)
-		env.traces.store(key, ct)
-	} else {
-		multi.ResetStats()
-		e.ResetState()
-		for _, q := range queries {
-			if _, err := e.Query(q, multi); err != nil {
-				return nil, err
-			}
-		}
-	}
-	cells, err := finishGang(unit, "TPC-D", multi, engine.Result{})
-	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, nil)
-	}
-	return cells, err
+	return out, nil
 }
-
-// runGangTPCC measures one (system, txns) OLTP gang: the mix executes
-// once (see runOLTP) with every configuration draining the emitted
-// stream, or replays a cached capture's two phases into the whole
-// gang.
-func (env *Env) runGangTPCC(unit []CellSpec, cfgs []xeon.Config) ([]Cell, error) {
-	if err := env.ctxErr(); err != nil {
-		return nil, err
-	}
-	s, txns := unit[0].System, unit[0].Txns
-	key := CellSpec{Kind: CellTPCC, System: s, Txns: txns}
-
-	if cells, ok := env.lookupGangTallies(unit, cfgs, s, 0); ok {
-		return cells, nil
-	}
-
-	multi := xeon.NewMulti(cfgs)
-
-	if ct, fromStore := env.cellStream(key); ct != nil {
-		env.warmOLTPGang(multi, ct, key, cfgs)
-		multi.ResetStats()
-		ct.stream.Drain(multi)
-		cells, err := finishGang(unit, "TPC-C", multi, engine.Result{})
-		stats := ct.stats
-		if fromStore {
-			env.traces.store(key, ct)
-		}
-		if err == nil {
-			env.putGangTallies(unit, cfgs, cells, &stats)
-		}
-		return cells, err
-	}
-
-	stats, err := env.runOLTP(s, txns, multi, key, func() {
-		if env.snapshotOn() {
-			st := multi.Snapshot(nil)
-			for i, cfg := range cfgs {
-				env.snapStore(key, cfg, st.At(i))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	cells, err := finishGang(unit, "TPC-C", multi, engine.Result{})
-	if err == nil {
-		env.putGangTallies(unit, cfgs, cells, &stats)
-	}
-	return cells, err
-}
-
-var _ trace.Processor = (*xeon.Pipeline)(nil)

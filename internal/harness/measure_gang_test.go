@@ -18,7 +18,7 @@ import (
 
 // TestMeasureGangMatchesMeasure: a gang of platform variants measured
 // through the exported entry point is cell-for-cell identical to the
-// same specs measured solo with the gang drain off.
+// same specs each measured as its own unit.
 func TestMeasureGangMatchesMeasure(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.002
@@ -34,22 +34,13 @@ func TestMeasureGangMatchesMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := opts
-	seq.Gang = false
-	solo, err := Measure(seq, unit, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := measureEach(t, opts, unit)
 	for _, spec := range unit {
 		g, err := gang.Get(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := solo.Get(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareCells(t, spec, g, s)
+		compareCells(t, spec, g, solo[spec])
 	}
 }
 

@@ -151,7 +151,7 @@ func TestReplayMatchesReexecution(t *testing.T) {
 // a cell replays the capture (no engine execution) and must reproduce
 // the first measurement exactly. TPC-C is not memoised, so a second
 // RunTPCC exercises the cache-hit path directly; for the micro path
-// the memo is cleared to force the cell back through run.
+// the memo is cleared to force the cell back through measure.
 func TestTraceCacheReplaysRevisits(t *testing.T) {
 	env, err := NewEnv(replayTestOptions())
 	if err != nil {
@@ -186,7 +186,7 @@ func TestTraceCacheReplaysRevisits(t *testing.T) {
 	if _, ok := env.traces.lookup(spec); !ok {
 		t.Fatal("micro capture was not cached")
 	}
-	env.memo = map[memoKey]Cell{} // force the next Run back through run()
+	env.memo = map[CellSpec]Cell{} // force the next Run back through measure
 	again, err := env.Run(engine.SystemB, IRS)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,10 @@ import (
 // joinsort, idxjoin) ride the same golden matrix as every other
 // experiment —
 // TestGoldenFiles, TestUnbatchedMatchesGoldens,
-// TestReplayDisabledMatchesGoldens and TestGangDisabledMatchesGoldens
-// all iterate the registry, so the new cells are diffed against the
-// same files across all four drain paths. The tests here add the
+// TestReplayDisabledMatchesGoldens and
+// TestCompressionDisabledMatchesGoldens all iterate the registry, so
+// the new cells are diffed against the same files across all four
+// drain paths. The tests here add the
 // cheap, per-push checks: a goldens smoke that measures only the
 // scenario grid, and result cross-checks between each scenario
 // operator and its reference access path.

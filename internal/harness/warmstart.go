@@ -16,8 +16,9 @@ package harness
 //     replays from disk instead of re-executing the engine.
 //  3. Tally store (on disk). The finished breakdown of a cell —
 //     counts, cycle components (as float bits, so the round trip is
-//     exact), rates, result — persists keyed by (emission key, config,
-//     warm-up count). A warm process skips the simulation entirely.
+//     exact), rates, result — persists keyed by (unit key, scale,
+//     config, warm-up count). A warm process skips the simulation
+//     entirely.
 //
 // Every shortcut reproduces the Section 4.3 protocol bit-for-bit: the
 // golden suite renders the grid with snapshotting on and off, and with
@@ -32,7 +33,6 @@ import (
 
 	"wheretime/internal/core"
 	"wheretime/internal/engine"
-	"wheretime/internal/trace"
 	"wheretime/internal/tracestore"
 	"wheretime/internal/workload"
 	"wheretime/internal/xeon"
@@ -45,8 +45,8 @@ const snapMemoCap = 128
 
 // snapKey identifies a post-warm-up pipeline state: the emission key
 // names the stream that warmed the pipeline, the config names the
-// platform it warmed. Gang members share the solo path's entries —
-// a gang pipe's state after warm-up is identical to the solo pipe's.
+// platform it warmed. A pipe's state after warm-up does not depend on
+// the gang it was drained in, so gangs of any width share entries.
 type snapKey struct {
 	spec CellSpec
 	cfg  xeon.Config
@@ -96,21 +96,23 @@ func (env *Env) snapshotOn() bool { return env.snaps != nil }
 
 // keyMaterial builds the index-key material for one stored artifact.
 // Every key folds in the emission schema token, so a store written by
-// one engine version is a clean miss for any other. Config-dependent
-// artifacts (tallies, snapshots) also fold in the platform and the
-// warm-up count; trace refs deliberately do not — the stream is a
-// pure function of the emission key, which is the whole point of
-// gangs.
+// one engine version is a clean miss for any other, and the dataset
+// scale, which shapes every stream without being part of any spec.
+// Config-dependent artifacts (tallies, snapshots) also fold in the
+// platform and the warm-up count; trace refs deliberately do not — the
+// stream is a pure function of the emission key and scale, which is
+// the whole point of gangs.
 //
 // The emission-key fields are spelled out one by one — never through
 // CellSpec.String, whose diagnostic rendering drops workload fields
 // for some kinds and would collide distinct specs onto one key
-// (FuzzGangKeyCompat hunts exactly this). Selectivity folds in as its
-// IEEE-754 bits so the material is injective over distinct floats.
-func keyMaterial(kind string, spec CellSpec, cfg *xeon.Config, warmup int) string {
+// (FuzzGangKeyCompat hunts exactly this). Scale and selectivity fold
+// in as their IEEE-754 bits so the material is injective over
+// distinct floats.
+func keyMaterial(kind string, spec CellSpec, scale float64, cfg *xeon.Config, warmup int) string {
 	e := emissionKey(spec)
-	mat := fmt.Sprintf("wheretime|%s|schema=%s|spec=kind=%d,sys=%d,q=%d,selbits=%x,rec=%d,txns=%d",
-		kind, engine.StreamSchema(), e.Kind, e.System, e.Query,
+	mat := fmt.Sprintf("wheretime|%s|schema=%s|scalebits=%x|spec=kind=%d,sys=%d,q=%d,selbits=%x,rec=%d,txns=%d",
+		kind, engine.StreamSchema(), math.Float64bits(scale), e.Kind, e.System, e.Query,
 		math.Float64bits(e.Selectivity), e.RecordSize, e.Txns)
 	if cfg != nil {
 		mat = fmt.Sprintf("%s|cfg=%+v|warmup=%d", mat, *cfg, warmup)
@@ -121,207 +123,122 @@ func keyMaterial(kind string, spec CellSpec, cfg *xeon.Config, warmup int) strin
 // storeKey derives the index key for one stored artifact under this
 // environment's options.
 func (env *Env) storeKey(kind string, spec CellSpec, cfg *xeon.Config) string {
-	return tracestore.KeyHash(keyMaterial(kind, spec, cfg, env.Opts.Warmup))
+	return tracestore.KeyHash(keyMaterial(kind, spec, env.Opts.Scale, cfg, env.Opts.Warmup))
 }
 
 // TallyKey returns the persistent-store index key under which the
 // finished tally of spec lives when measured at opts — the same key
 // the warm-start layer reads and writes, derived from the same
-// material. It identifies one fully costed measurement: emission key,
+// material. It identifies one fully costed measurement: the unit key
+// (a TPC-D spec resolves to the options' record size, see unitKey),
 // platform configuration (the spec's, or the options' when the spec
-// leaves it zero), warm-up count and emission schema. The wheretimed
-// service coalesces identical in-flight requests on it.
+// leaves it zero), scale, warm-up count and emission schema. The
+// wheretimed service coalesces identical in-flight requests on it.
 func TallyKey(opts Options, spec CellSpec) string {
 	cfg := spec.Config
 	if cfg == (xeon.Config{}) {
 		cfg = opts.Config
 	}
-	return tracestore.KeyHash(keyMaterial("tally", spec, &cfg, opts.Warmup))
+	return tracestore.KeyHash(keyMaterial("tally", unitKey(opts, spec), opts.Scale, &cfg, opts.Warmup))
 }
 
 // GangKey returns the batching key under which distinct cells may
 // share one gang work unit: the platform-free half of the tally key —
-// emission key, warm-up count and emission schema, everything except
-// the platform configuration. Two specs with equal gang keys emit the
-// identical event stream under the identical protocol, so a
+// emission key, scale, warm-up count and emission schema, everything
+// except the platform configuration. Two specs with equal gang keys
+// emit the identical event stream under the identical protocol, so a
 // multi-config drain may measure them together (MeasureGang); specs
 // with different gang keys must never share a gang, which
 // FuzzGangKeyCompat pins from random spec pairs. The wheretimed
 // batcher accumulates compatible requests on this key.
 func GangKey(opts Options, spec CellSpec) string {
-	return tracestore.KeyHash(fmt.Sprintf("%s|warmup=%d", keyMaterial("gang", spec, nil, 0), opts.Warmup))
+	return tracestore.KeyHash(fmt.Sprintf("%s|warmup=%d", keyMaterial("gang", spec, opts.Scale, nil, 0), opts.Warmup))
 }
 
-// snapLookup returns the memoized post-warm-up state for (spec, cfg),
-// falling back to the store. Only called on the snapshot path.
-func (env *Env) snapLookup(spec CellSpec, cfg xeon.Config) *xeon.State {
-	k := snapKey{spec: emissionKey(spec), cfg: cfg}
-	if st := env.snaps.lookup(k); st != nil {
-		return st
-	}
-	if env.store == nil {
-		return nil
-	}
-	blob, ok := env.store.GetEntry(env.storeKey("snap", spec, &cfg))
-	if !ok {
-		return nil
-	}
-	st := &xeon.State{}
-	if err := st.UnmarshalBinary(blob); err != nil {
-		return nil // corrupt snapshot blob: treat as a miss, recompute
-	}
-	env.snaps.store(k, st)
-	return st
-}
-
-// snapStore memoizes a post-warm-up state and persists it when a
-// store is attached. The state must not be mutated afterwards.
-func (env *Env) snapStore(spec CellSpec, cfg xeon.Config, st *xeon.State) {
-	if env.snaps == nil || st == nil {
-		return
-	}
-	env.snaps.store(snapKey{spec: emissionKey(spec), cfg: cfg}, st)
-	if env.store != nil {
-		if blob, err := st.MarshalBinary(); err == nil {
-			env.store.PutEntry(env.storeKey("snap", spec, &cfg), blob)
-		}
-	}
-}
-
-// drainWarmSolo applies the Section 4.3 protocol to a captured stream
-// on one pipeline: runs-1 warm-up drains, ResetStats, one measured
-// drain — with done passes already performed live by the caller (1 on
-// the cold path, whose first execution was captured in flight; 0 on a
-// cache hit). With the snapshot layer on, a memoized post-warm-up
-// state replaces the remaining warm-up drains with one restore; and
+// drainWarm finishes the Section 4.3 protocol from a capture on a
+// gang: the warm phase (TPC-C's slice; on the cold path it already ran
+// live), passes-1 warm-up drains of the stream, ResetStats, one
+// measured drain — with done passes already performed live by the
+// caller (1 on the cold path, whose first pass was captured in flight;
+// 0 on a capture hit). With the snapshot layer on, memoized
+// post-warm-up states replace the whole warm-up with one restore; and
 // each warm-up drain's state is compared with the previous one, so a
 // fixed point stops warm-up early — every further pass is provably a
 // no-op because the next drain's outcome depends only on this state.
-// Either shortcut leaves the pipeline exactly where the full protocol
+// Either shortcut leaves every pipe exactly where the full protocol
 // would; the golden suite pins this across every leg.
-func (env *Env) drainWarmSolo(pipe *xeon.Pipeline, stream *trace.Recording, spec CellSpec, cfg xeon.Config, runs, done int) {
-	if done >= runs {
+func (env *Env) drainWarm(multi *xeon.MultiPipeline, ct *cellTrace, spec CellSpec, cfgs []xeon.Config, passes, done int) {
+	if done >= passes {
 		return
 	}
-	warm := runs - 1
-	if env.snapshotOn() && warm > 0 {
-		if st := env.snapLookup(spec, cfg); st != nil && pipe.Restore(st) == nil {
-			pipe.ResetStats()
-			stream.Drain(pipe)
-			return
+	snap := env.snapshotOn() && (passes > 1 || ct.warm != nil)
+	if !snap || !env.restoreAll(multi, spec, cfgs) {
+		if ct.warm != nil {
+			ct.warm.Drain(multi)
 		}
-		var prev, cur *xeon.State
-		for i := done; i < warm; i++ {
-			stream.Drain(pipe)
-			cur = pipe.Snapshot(cur)
+		var prev, cur *xeon.MultiState
+		for i := done; i < passes-1; i++ {
+			ct.stream.Drain(multi)
+			if !snap {
+				continue
+			}
+			cur = multi.Snapshot(cur)
 			if cur.Equal(prev) {
 				break // fixed point: the remaining warm-up passes are no-ops
 			}
 			prev, cur = cur, prev
 		}
-		env.snapStore(spec, cfg, pipe.Snapshot(prev))
-		pipe.ResetStats()
-		stream.Drain(pipe)
-		return
-	}
-	for i := done; i < runs; i++ {
-		if i == runs-1 {
-			pipe.ResetStats()
+		if snap {
+			env.snapStoreAll(spec, cfgs, multi.Snapshot(prev))
 		}
-		stream.Drain(pipe)
 	}
+	multi.ResetStats()
+	ct.stream.Drain(multi)
 }
 
-// drainWarmGang is drainWarmSolo on a multi-config gang. Snapshots
-// are looked up and stored per configuration under the same keys the
-// solo path uses — a gang pipe's post-warm-up state is identical to
-// the solo pipe's for the same (stream, config) — and a restore is
-// all-or-nothing (RestoreStates geometry-checks the whole gang before
-// touching any pipe), so a partial memo falls back to draining.
-func (env *Env) drainWarmGang(multi *xeon.MultiPipeline, stream *trace.Recording, spec CellSpec, cfgs []xeon.Config, runs, done int) {
-	if done >= runs {
-		return
+// restoreAll brings every pipe of the gang to its memoized
+// post-warm-up state — from the in-process memo, else the store — and
+// reports whether it did. It is all-or-nothing: one missing state, or
+// a geometry mismatch anywhere (RestoreStates checks the whole gang
+// before touching any pipe), leaves the gang untouched and falls back
+// to draining. Only called on the snapshot path.
+func (env *Env) restoreAll(multi *xeon.MultiPipeline, spec CellSpec, cfgs []xeon.Config) bool {
+	states := make([]*xeon.State, len(cfgs))
+	for i, cfg := range cfgs {
+		k := snapKey{spec: emissionKey(spec), cfg: cfg}
+		if states[i] = env.snaps.lookup(k); states[i] != nil {
+			continue
+		}
+		if env.store == nil {
+			return false
+		}
+		blob, ok := env.store.GetEntry(env.storeKey("snap", spec, &cfg))
+		st := &xeon.State{}
+		if !ok || st.UnmarshalBinary(blob) != nil {
+			return false // a corrupt snapshot blob is a miss too: recompute
+		}
+		env.snaps.store(k, st)
+		states[i] = st
 	}
-	warm := runs - 1
-	if env.snapshotOn() && warm > 0 {
-		states := make([]*xeon.State, len(cfgs))
-		all := true
-		for i, cfg := range cfgs {
-			if states[i] = env.snapLookup(spec, cfg); states[i] == nil {
-				all = false
-				break
-			}
-		}
-		if all && multi.RestoreStates(states) == nil {
-			multi.ResetStats()
-			stream.Drain(multi)
-			return
-		}
-		var prev, cur *xeon.MultiState
-		for i := done; i < warm; i++ {
-			stream.Drain(multi)
-			cur = multi.Snapshot(cur)
-			if cur.Equal(prev) {
-				break
-			}
-			prev, cur = cur, prev
-		}
-		final := multi.Snapshot(prev)
-		for i, cfg := range cfgs {
-			env.snapStore(spec, cfg, final.At(i))
-		}
-		multi.ResetStats()
-		stream.Drain(multi)
-		return
-	}
-	for i := done; i < runs; i++ {
-		if i == runs-1 {
-			multi.ResetStats()
-		}
-		stream.Drain(multi)
-	}
+	return multi.RestoreStates(states) == nil
 }
 
-// warmOLTP brings a pipeline to the post-warm-up point of the TPC-C
-// protocol from a cached capture: a snapshot restore when one is
-// memoized, the captured warm slice otherwise. No fixed-point loop —
-// the warm slice runs exactly once and is a different stream from the
-// measured mix.
-func (env *Env) warmOLTP(pipe *xeon.Pipeline, ct *cellTrace, spec CellSpec, cfg xeon.Config) {
-	if env.snapshotOn() {
-		if st := env.snapLookup(spec, cfg); st != nil && pipe.Restore(st) == nil {
-			return
-		}
-		ct.warm.Drain(pipe)
-		env.snapStore(spec, cfg, pipe.Snapshot(nil))
+// snapStoreAll memoizes each configuration's post-warm-up state under
+// its per-config key — a pipe's state after warm-up does not depend on
+// the gang it was drained in — and persists it when a store is
+// attached. The states must not be mutated afterwards.
+func (env *Env) snapStoreAll(spec CellSpec, cfgs []xeon.Config, st *xeon.MultiState) {
+	if env.snaps == nil {
 		return
 	}
-	ct.warm.Drain(pipe)
-}
-
-// warmOLTPGang is warmOLTP on a gang, per-config keys, all-or-nothing
-// restore.
-func (env *Env) warmOLTPGang(multi *xeon.MultiPipeline, ct *cellTrace, spec CellSpec, cfgs []xeon.Config) {
-	if env.snapshotOn() {
-		states := make([]*xeon.State, len(cfgs))
-		all := true
-		for i, cfg := range cfgs {
-			if states[i] = env.snapLookup(spec, cfg); states[i] == nil {
-				all = false
-				break
+	for i, cfg := range cfgs {
+		env.snaps.store(snapKey{spec: emissionKey(spec), cfg: cfg}, st.At(i))
+		if env.store != nil {
+			if blob, err := st.At(i).MarshalBinary(); err == nil {
+				env.store.PutEntry(env.storeKey("snap", spec, &cfg), blob)
 			}
 		}
-		if all && multi.RestoreStates(states) == nil {
-			return
-		}
-		ct.warm.Drain(multi)
-		st := multi.Snapshot(nil)
-		for i, cfg := range cfgs {
-			env.snapStore(spec, cfg, st.At(i))
-		}
-		return
 	}
-	ct.warm.Drain(multi)
 }
 
 // tallyVersion tags the storedTally JSON layout; traceRefVersion the
@@ -383,33 +300,37 @@ type storedTally struct {
 // lookupTally reconstructs a finished cell from the store. Any decode
 // problem — wrong version, wrong shape, a breakdown that fails
 // Validate — is a miss, never an error: the cell is simply recomputed.
-func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config, s engine.System, q QueryKind) (Cell, *workload.TPCCStats, bool) {
+// A TPC-C tally without its transaction statistics is a miss too.
+func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config) (cell Cell, stats workload.TPCCStats, ok bool) {
 	if env.store == nil {
-		return Cell{}, nil, false
+		return
 	}
-	blob, ok := env.store.GetEntry(env.storeKey("tally", spec, &cfg))
-	if !ok {
-		return Cell{}, nil, false
+	blob, hit := env.store.GetEntry(env.storeKey("tally", spec, &cfg))
+	if !hit {
+		return
 	}
 	var t storedTally
 	if err := json.Unmarshal(blob, &t); err != nil || t.Version != tallyVersion ||
-		len(t.CycleBits) != len(core.Breakdown{}.Cycles) {
-		return Cell{}, nil, false
+		len(t.CycleBits) != len(core.Breakdown{}.Cycles) || (spec.Kind == CellTPCC && t.Stats == nil) {
+		return
 	}
 	b := &core.Breakdown{Counts: t.Counts}
 	for i, bits := range t.CycleBits {
 		b.Cycles[i] = math.Float64frombits(bits)
 	}
 	if err := b.Validate(); err != nil {
-		return Cell{}, nil, false
+		return
 	}
-	cell := Cell{System: s, Query: q, Breakdown: b, Rates: unpackRates(t.Rates),
-		Result: engine.Result{Value: math.Float64frombits(t.ValueBits), Rows: t.Rows}}
-	return cell, t.Stats, true
+	if t.Stats != nil {
+		stats = *t.Stats
+	}
+	return Cell{System: spec.System, Query: spec.Query, Breakdown: b, Rates: unpackRates(t.Rates),
+		Result: engine.Result{Value: math.Float64frombits(t.ValueBits), Rows: t.Rows}}, stats, true
 }
 
-// putTally persists a finished cell.
-func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workload.TPCCStats) {
+// putTally persists a finished cell, with the transaction statistics
+// when it is a TPC-C cell.
+func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats workload.TPCCStats) {
 	if env.store == nil {
 		return
 	}
@@ -420,7 +341,9 @@ func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workl
 		Rates:     packRates(cell.Rates),
 		ValueBits: math.Float64bits(cell.Result.Value),
 		Rows:      cell.Result.Rows,
-		Stats:     stats,
+	}
+	if spec.Kind == CellTPCC {
+		t.Stats = &stats
 	}
 	for i, c := range cell.Breakdown.Cycles {
 		t.CycleBits[i] = math.Float64bits(c)
@@ -432,29 +355,39 @@ func (env *Env) putTally(spec CellSpec, cfg xeon.Config, cell Cell, stats *workl
 	env.store.PutEntry(env.storeKey("tally", spec, &cfg), blob)
 }
 
-// lookupGangTallies returns the whole gang's cells when every member's
-// tally is stored — all-or-nothing, so a partial store still measures
-// the gang in one pass rather than mixing loaded and simulated cells.
-func (env *Env) lookupGangTallies(unit []CellSpec, cfgs []xeon.Config, s engine.System, q QueryKind) ([]Cell, bool) {
-	if env.store == nil {
-		return nil, false
-	}
-	cells := make([]Cell, len(unit))
-	for i := range unit {
-		c, _, ok := env.lookupTally(unit[i], cfgs[i], s, q)
+// recall returns the unit's finished cells without simulating: each
+// member from the env's memo, else from its stored tally. It is
+// all-or-nothing, so a partial hit still measures the unit in one pass
+// rather than mixing recalled and simulated cells.
+func (env *Env) recall(key CellSpec, cfgs []xeon.Config) ([]Cell, workload.TPCCStats, bool) {
+	cells := make([]Cell, len(cfgs))
+	var stats workload.TPCCStats
+	for i, cfg := range cfgs {
+		c, ok := env.memo[memoKey(key, cfg)]
 		if !ok {
-			return nil, false
+			if c, stats, ok = env.lookupTally(key, cfg); !ok {
+				return nil, stats, false
+			}
+			env.remember(key, cfg, c)
 		}
 		cells[i] = c
 	}
-	return cells, true
+	return cells, stats, true
 }
 
-// putGangTallies persists every gang member's cell.
-func (env *Env) putGangTallies(unit []CellSpec, cfgs []xeon.Config, cells []Cell, stats *workload.TPCCStats) {
-	for i := range unit {
-		env.putTally(unit[i], cfgs[i], cells[i], stats)
+// remember memoises a finished cell. TPC-C is not memoised: its
+// revisits replay the cached capture instead.
+func (env *Env) remember(key CellSpec, cfg xeon.Config, c Cell) {
+	if key.Kind != CellTPCC {
+		env.memo[memoKey(key, cfg)] = c
 	}
+}
+
+// memoKey is the memo's key for one member of a unit: the unit key
+// with the member's platform.
+func memoKey(key CellSpec, cfg xeon.Config) CellSpec {
+	key.Config = cfg
+	return key
 }
 
 // storedTraceRef is the index entry binding a cell's emission key to

@@ -74,11 +74,11 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 			}
 			diffCellsExact(t, name+" first", a, b)
 
-			// Clear the memos so the revisit goes back through run():
+			// Clear the memos so the revisit goes back through measure:
 			// the snapshot env restores its memoized post-warm-up state
 			// and drains once, the plain env drains all Warmup+1 times.
-			snapEnv.memo = map[memoKey]Cell{}
-			plainEnv.memo = map[memoKey]Cell{}
+			snapEnv.memo = map[CellSpec]Cell{}
+			plainEnv.memo = map[CellSpec]Cell{}
 			a2, err := snapEnv.Run(s, q)
 			if err != nil {
 				t.Fatal(err)
@@ -105,8 +105,8 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffCellsExact(t, "D/TPC-D", a, b)
-	snapEnv.memo = map[memoKey]Cell{}
-	plainEnv.memo = map[memoKey]Cell{}
+	snapEnv.memo = map[CellSpec]Cell{}
+	plainEnv.memo = map[CellSpec]Cell{}
 	a2, err := snapEnv.RunTPCD(engine.SystemD)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestStoreDirOptionFlushes(t *testing.T) {
 	}
 	env.store = s
 	cfg := env.Opts.Config
-	if _, _, ok := env.lookupTally(specs[0], cfg, engine.SystemA, SRS); !ok {
+	if _, _, ok := env.lookupTally(specs[0], cfg); !ok {
 		t.Error("flushed store has no tally for the measured cell")
 	}
 }
@@ -275,4 +275,57 @@ func TestStoreColdWarmMatchesGoldens(t *testing.T) {
 			})
 		}
 	}
+}
+
+// storeMustMiss measures spec at first against a store directory, then
+// at second against the same directory, and requires the second run to
+// equal a storeless measurement at second: an entry written for a
+// different measurement must never answer.
+func storeMustMiss(t *testing.T, first, second Options, spec CellSpec) {
+	t.Helper()
+	first.StoreDir = t.TempDir()
+	if _, err := Measure(first, []CellSpec{spec}, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Measure(second, []CellSpec{spec}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.StoreDir = first.StoreDir
+	got, err := Measure(second, []CellSpec{spec}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := got.Get(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := want.Get(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffCellsExact(t, spec.String(), a, b)
+}
+
+// TestStoreKeyNamesScale: the dataset scale shapes every stream without
+// being part of any spec, so a store filled at one scale must not
+// answer a run at another.
+func TestStoreKeyNamesScale(t *testing.T) {
+	opts := replayTestOptions()
+	bigger := opts
+	bigger.Scale = 2 * opts.Scale
+	storeMustMiss(t, opts, bigger, microCell(opts, engine.SystemD, SRS))
+}
+
+// TestStoreKeyNamesTPCDRecordSize: a TPC-D spec leaves the record size
+// to the options, so its stored tally must be keyed by the record size
+// the suite actually ran over.
+func TestStoreKeyNamesTPCDRecordSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three TPC-D suites in -short mode; make store-smoke runs it")
+	}
+	opts := replayTestOptions()
+	wider := opts
+	wider.RecordSize = 2 * opts.RecordSize
+	storeMustMiss(t, opts, wider, CellSpec{Kind: CellTPCD, System: engine.SystemD, Config: opts.Config})
 }

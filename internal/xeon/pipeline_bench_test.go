@@ -58,6 +58,23 @@ func BenchmarkProcessBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
 }
 
+// BenchmarkMultiPipelineK1 is BenchmarkProcessBatch through a
+// single-config MultiPipeline — the sink every harness measurement
+// drains into, a lone cell being a gang of one. The two must cost the
+// same: K=1 hands each batch straight to the solo drain.
+func BenchmarkMultiPipelineK1(b *testing.B) {
+	events := synthBatch(1 << 20)
+	m := NewMulti([]Config{DefaultConfig()})
+	m.ProcessBatch(events) // warm the simulated hierarchy
+	b.SetBytes(int64(len(events)) * 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ProcessBatch(events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/event")
+}
+
 // BenchmarkCompressedDrain measures the fused decode+simulate path
 // against draining the same stream from a raw arena: the columnar
 // codec's per-block decode rides in front of the same ProcessBatch
