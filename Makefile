@@ -91,15 +91,18 @@ op-smoke:
 # The warm-start smoke: the tracestore package (corrupt-input and
 # fuzz-seed regressions included), the snapshot/store equivalence
 # tests, the store-key tests (an entry written at another scale or
-# TPC-D record size must never answer), then the real CLI run twice
-# against one store directory —
+# TPC-D record size must never answer; TallyKey names the entry the
+# protocol writes, read back bit-identical by LookupTally), the
+# self-healing test (an undecodable tally, trace ref or snapshot blob
+# is replaced by the recompute), then the real CLI run twice against
+# one store directory —
 # stdout must be byte-identical cold vs warm, and the warm run's
 # stderr stats line must report nonzero entry hits (proof the second
 # run actually started from the store, not from zero).
 STORE_SMOKE_DIR := /tmp/wheretime-store-smoke
 store-smoke:
 	$(GO) test -count=1 ./internal/tracestore
-	$(GO) test -count=1 -run 'TestSnapshotRestoreMatchesDrain|TestStoreWarmHits|TestStoreDirOptionFlushes|TestStoreKeyNames' ./internal/harness
+	$(GO) test -count=1 -run 'TestSnapshotRestoreMatchesDrain|TestStoreWarmHits|TestStoreDirOptionFlushes|TestStoreKeyNames|TestLookupTallyMatchesMeasure|TestStoreHealsUndecodableEntries' ./internal/harness
 	rm -rf $(STORE_SMOKE_DIR) && mkdir -p $(STORE_SMOKE_DIR)
 	$(GO) run ./cmd/wheretime -experiment fig5.1 -scale 0.002 -store $(STORE_SMOKE_DIR)/store \
 		> $(STORE_SMOKE_DIR)/cold.out 2> $(STORE_SMOKE_DIR)/cold.err
@@ -114,7 +117,8 @@ store-smoke:
 # fake clock, quarantine-and-recompute, timeouts, panic containment,
 # read-only fallback, the harness cancellation contract and the
 # exported gang entry point with its key-compat fuzz seeds), then the
-# real daemon end to end — concurrent POSTs coalesced, a corrupted
+# real daemon end to end — concurrent POSTs coalesced, a repeat
+# answered from the stored tally without a simulation, a corrupted
 # store quarantined and recomputed byte-identically, a multi-config
 # burst batched into one gang and byte-compared against a
 # -gangwindow=0 control server, SIGTERM drained to exit 0 (see

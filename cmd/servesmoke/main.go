@@ -4,7 +4,8 @@
 // over real HTTP and real signals —
 //
 //  1. concurrent identical POSTs coalesce into fewer simulations and
-//     byte-identical responses;
+//     byte-identical responses, and a repeat once they land is answered
+//     from the stored tally — same bytes, no simulation;
 //  2. corrupting a stored trace quarantines the file and the cell
 //     recomputes correctly (byte-identical to a fresh-store server);
 //  3. a concurrent burst of K platform variants of one workload forms
@@ -142,6 +143,7 @@ type healthz struct {
 	Status      string `json:"status"`
 	Simulations int64  `json:"simulations"`
 	Coalesced   int64  `json:"coalesced"`
+	TallyHits   int64  `json:"tallyHits"`
 	Batch       *struct {
 		BatchedRequests int64   `json:"batchedRequests"`
 		GangsFormed     int64   `json:"gangsFormed"`
@@ -201,7 +203,9 @@ func run() error {
 	defer p.cmd.Process.Kill()
 
 	// 1. Coalescing: concurrent identical POSTs, one simulation's worth
-	// of work, byte-identical bodies.
+	// of work, byte-identical bodies. A POST that arrives after the
+	// flight landed is answered from the stored tally instead, so each
+	// request is exactly one of simulated, coalesced or a tally hit.
 	const cell = `{"kind":"micro","system":"B","query":"SRS"}`
 	const n = 8
 	bodies := make([][]byte, n)
@@ -231,11 +235,30 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if h.Simulations+h.Coalesced != n || h.Coalesced < 1 {
-		return fmt.Errorf("coalescing: simulations=%d coalesced=%d, want sum %d with coalesced >= 1",
-			h.Simulations, h.Coalesced, n)
+	if h.Simulations+h.Coalesced+h.TallyHits != n || h.Simulations < 1 || h.Coalesced < 1 {
+		return fmt.Errorf("coalescing: simulations=%d coalesced=%d tallyHits=%d, want sum %d with simulations >= 1 and coalesced >= 1",
+			h.Simulations, h.Coalesced, h.TallyHits, n)
 	}
 	fmt.Printf("servesmoke: coalesced %d/%d requests into %d simulation(s)\n", h.Coalesced, n, h.Simulations)
+
+	// The repeat: the tally is stored now, so the store-first path
+	// answers it with the burst's bytes and no simulation.
+	status, repeat, err := post(p.addr, cell)
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("repeat POST: status %d err %v: %s", status, err, repeat)
+	}
+	if !bytes.Equal(repeat, bodies[0]) {
+		return fmt.Errorf("repeat body differs from the burst's:\n%s\nvs\n%s", repeat, bodies[0])
+	}
+	h2, err := getHealth(p.addr)
+	if err != nil {
+		return err
+	}
+	if h2.TallyHits != h.TallyHits+1 || h2.Simulations != h.Simulations {
+		return fmt.Errorf("repeat: tallyHits %d -> %d, simulations %d -> %d; want one tally hit and no simulation",
+			h.TallyHits, h2.TallyHits, h.Simulations, h2.Simulations)
+	}
+	fmt.Println("servesmoke: repeat answered from the stored tally, byte-identical, no simulation")
 
 	// 2. Corruption: rot every stored trace byte-wise, then measure a
 	// platform variant that warm-starts from them. The server must

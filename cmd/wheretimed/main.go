@@ -1,7 +1,8 @@
 // Command wheretimed serves the experiment grid over HTTP: one
-// measured cell per POST, identical in-flight requests coalesced into
-// a single simulation, results memoized through the persistent
-// trace/tally store, and a clean drain on SIGTERM.
+// measured cell per POST, a cell already in the persistent trace/tally
+// store answered straight from its stored tally, identical in-flight
+// requests coalesced into a single simulation, and a clean drain on
+// SIGTERM.
 //
 // Usage:
 //

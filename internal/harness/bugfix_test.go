@@ -113,7 +113,7 @@ func TestOverflowReleasesAllBuffers(t *testing.T) {
 	c0, e0, b0 := trace.LiveBuffers()
 	for _, q := range []QueryKind{SRS, IRS, SJ, GHJ, SAG, BRS, JSA, IXJ} {
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			if _, err := env.Run(s, q); err != nil {

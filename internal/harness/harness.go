@@ -361,17 +361,16 @@ func (env *Env) database(s engine.System) *workload.Database {
 // Engine returns the engine for a system.
 func (env *Env) Engine(s engine.System) *engine.Engine { return env.engines[s] }
 
-// queryFor returns the SQL and plan for a (system, query) pair, and
-// whether the pair is valid (System A skips the index-based kinds IRS
-// and BRS: it does not use the index, Section 5.1).
+// queryFor returns the SQL for a (system, query) pair, and whether the
+// pair is valid (see ValidMicro).
 func (env *Env) queryFor(s engine.System, q QueryKind) (string, bool) {
+	if !ValidMicro(s, q) {
+		return "", false
+	}
 	switch q {
 	case SRS:
 		return env.Dims.QuerySRS(env.Opts.Selectivity), true
 	case IRS:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryIRS(env.Opts.Selectivity), true
 	case SJ:
 		return env.Dims.QuerySJ(), true
@@ -380,16 +379,10 @@ func (env *Env) queryFor(s engine.System, q QueryKind) (string, bool) {
 	case SAG:
 		return env.Dims.QuerySAG(env.Opts.Selectivity), true
 	case BRS:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryBRS(env.Opts.Selectivity), true
 	case JSA:
 		return env.Dims.QueryJSA(), true
 	case IXJ:
-		if !engine.DefaultProfile(s).UseIndex {
-			return "", false
-		}
 		return env.Dims.QueryIXJ(env.Opts.Selectivity), true
 	default:
 		return "", false

@@ -59,7 +59,7 @@ func TestRecordedStreamsDeterministic(t *testing.T) {
 	}
 	for _, q := range []QueryKind{SRS, IRS, SJ} {
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			first := captureRun(t, env, s, q)

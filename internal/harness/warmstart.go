@@ -142,6 +142,23 @@ func TallyKey(opts Options, spec CellSpec) string {
 	return tracestore.KeyHash(keyMaterial("tally", unitKey(opts, spec), opts.Scale, &cfg, opts.Warmup))
 }
 
+// LookupTally answers spec from the stored tally alone: the entry
+// TallyKey names in opts.Store, decoded and validated exactly as a
+// measurement's own tally lookup would, with no environment built and
+// nothing simulated. It misses without an open handle in opts.Store
+// (it never opens opts.StoreDir) or with recording off, where Measure
+// never consults the store either, and wherever the entry is absent or
+// undecodable; the caller then measures as usual. A hit is the cell
+// Measure returns for spec, bit for bit. The wheretimed service answers
+// repeat requests through it before any batching or worker machinery.
+func LookupTally(opts Options, spec CellSpec) (Cell, bool) {
+	if opts.Store == nil || opts.maxRecorded() < 0 {
+		return Cell{}, false
+	}
+	cell, _, ok := lookupTally(opts.Store, TallyKey(opts, spec), unitKey(opts, spec))
+	return cell, ok
+}
+
 // GangKey returns the batching key under which distinct cells may
 // share one gang work unit: the platform-free half of the tally key —
 // emission key, scale, warm-up count and emission schema, everything
@@ -212,10 +229,17 @@ func (env *Env) restoreAll(multi *xeon.MultiPipeline, spec CellSpec, cfgs []xeon
 		if env.store == nil {
 			return false
 		}
-		blob, ok := env.store.GetEntry(env.storeKey("snap", spec, &cfg))
+		key := env.storeKey("snap", spec, &cfg)
+		blob, ok := env.store.GetEntry(key)
+		if !ok {
+			return false
+		}
 		st := &xeon.State{}
-		if !ok || st.UnmarshalBinary(blob) != nil {
-			return false // a corrupt snapshot blob is a miss too: recompute
+		if st.UnmarshalBinary(blob) != nil {
+			// A corrupt snapshot blob is a miss too: drop it so the
+			// recompute's snapshot replaces it.
+			env.store.DropEntry(key)
+			return false
 		}
 		env.snaps.store(k, st)
 		states[i] = st
@@ -297,21 +321,24 @@ type storedTally struct {
 	Stats     *workload.TPCCStats `json:"stats,omitempty"`
 }
 
-// lookupTally reconstructs a finished cell from the store. Any decode
-// problem — wrong version, wrong shape, a breakdown that fails
-// Validate — is a miss, never an error: the cell is simply recomputed.
-// A TPC-C tally without its transaction statistics is a miss too.
-func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config) (cell Cell, stats workload.TPCCStats, ok bool) {
-	if env.store == nil {
+// lookupTally reconstructs the finished cell of unit key spec from the
+// store entry under key. Any decode problem — wrong version, wrong
+// shape, a breakdown that fails Validate, a TPC-C tally without its
+// transaction statistics — is a miss, never an error: the blob is
+// dropped from the store and the cell is simply recomputed, so the
+// recompute's tally replaces it.
+func lookupTally(store *tracestore.Store, key string, spec CellSpec) (cell Cell, stats workload.TPCCStats, ok bool) {
+	if store == nil {
 		return
 	}
-	blob, hit := env.store.GetEntry(env.storeKey("tally", spec, &cfg))
+	blob, hit := store.GetEntry(key)
 	if !hit {
 		return
 	}
 	var t storedTally
 	if err := json.Unmarshal(blob, &t); err != nil || t.Version != tallyVersion ||
 		len(t.CycleBits) != len(core.Breakdown{}.Cycles) || (spec.Kind == CellTPCC && t.Stats == nil) {
+		store.DropEntry(key)
 		return
 	}
 	b := &core.Breakdown{Counts: t.Counts}
@@ -319,6 +346,7 @@ func (env *Env) lookupTally(spec CellSpec, cfg xeon.Config) (cell Cell, stats wo
 		b.Cycles[i] = math.Float64frombits(bits)
 	}
 	if err := b.Validate(); err != nil {
+		store.DropEntry(key)
 		return
 	}
 	if t.Stats != nil {
@@ -365,7 +393,7 @@ func (env *Env) recall(key CellSpec, cfgs []xeon.Config) ([]Cell, workload.TPCCS
 	for i, cfg := range cfgs {
 		c, ok := env.memo[memoKey(key, cfg)]
 		if !ok {
-			if c, stats, ok = env.lookupTally(key, cfg); !ok {
+			if c, stats, ok = lookupTally(env.store, env.storeKey("tally", key, &cfg), key); !ok {
 				return nil, stats, false
 			}
 			env.remember(key, cfg, c)
@@ -435,18 +463,24 @@ func (env *Env) putStoredTrace(spec CellSpec, ct *cellTrace) {
 }
 
 // loadStoredTrace fetches a persisted capture. Like lookupTally, every
-// decode problem is a miss; a ref whose trace files went missing or
-// corrupt releases whatever loaded and recomputes.
+// decode problem is a miss, and a ref blob that fails to decode is
+// dropped so the recompute's ref replaces it. A ref whose trace files
+// went missing or corrupt, or whose stream exceeds this run's
+// recording cap, keeps its entry (the store quarantines a corrupt
+// file itself): whatever loaded is released and the cell recomputes.
 func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {
 	if env.store == nil {
 		return nil, false
 	}
-	blob, ok := env.store.GetEntry(env.storeKey("trace", spec, nil))
+	key := env.storeKey("trace", spec, nil)
+	blob, ok := env.store.GetEntry(key)
 	if !ok {
 		return nil, false
 	}
 	var ref storedTraceRef
-	if err := json.Unmarshal(blob, &ref); err != nil || ref.Version != traceRefVersion {
+	if err := json.Unmarshal(blob, &ref); err != nil || ref.Version != traceRefVersion ||
+		(spec.Kind == CellTPCC && (ref.Stats == nil || ref.WarmDigest == "")) {
+		env.store.DropEntry(key)
 		return nil, false
 	}
 	stream, err := env.store.GetTrace(ref.Digest)
@@ -469,10 +503,6 @@ func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {
 		ct.warm = warm
 	}
 	if spec.Kind == CellTPCC {
-		if ref.Stats == nil || ct.warm == nil {
-			ct.release()
-			return nil, false
-		}
 		ct.stats = *ref.Stats
 	}
 	return ct, true

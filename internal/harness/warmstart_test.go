@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"testing"
 
 	"wheretime/internal/engine"
+	"wheretime/internal/storage"
 	"wheretime/internal/tracestore"
+	"wheretime/internal/xeon"
 )
 
 // The warm-start contract, pinned from both ends: every shortcut —
@@ -14,19 +18,23 @@ import (
 // exactly, and a warm store must actually be consulted.
 
 // diffCellsExact fails unless two cells match on every counter, stall
-// component, hardware rate and result bit.
+// component, hardware rate and result bit. Floats compare as IEEE-754
+// bits, so a NaN result matches itself and -0 never passes for +0.
 func diffCellsExact(t *testing.T, name string, a, b Cell) {
 	t.Helper()
 	if a.Breakdown.Counts != b.Breakdown.Counts {
 		t.Errorf("%s: counts differ:\n got %+v\nwant %+v", name, a.Breakdown.Counts, b.Breakdown.Counts)
 	}
-	if a.Breakdown.Cycles != b.Breakdown.Cycles {
-		t.Errorf("%s: stall cycles differ:\n got %v\nwant %v", name, a.Breakdown.Cycles, b.Breakdown.Cycles)
+	for i := range a.Breakdown.Cycles {
+		if math.Float64bits(a.Breakdown.Cycles[i]) != math.Float64bits(b.Breakdown.Cycles[i]) {
+			t.Errorf("%s: stall cycles differ:\n got %v\nwant %v", name, a.Breakdown.Cycles, b.Breakdown.Cycles)
+			break
+		}
 	}
-	if a.Rates != b.Rates {
+	if packRates(a.Rates) != packRates(b.Rates) {
 		t.Errorf("%s: hardware rates differ", name)
 	}
-	if a.Result != b.Result {
+	if math.Float64bits(a.Result.Value) != math.Float64bits(b.Result.Value) || a.Result.Rows != b.Result.Rows {
 		t.Errorf("%s: result %+v != %+v", name, a.Result, b.Result)
 	}
 }
@@ -60,7 +68,7 @@ func TestSnapshotRestoreMatchesDrain(t *testing.T) {
 
 	for _, q := range []QueryKind{SRS, IRS, SJ, GHJ} {
 		for _, s := range engine.Systems() {
-			if !validMicro(s, q) {
+			if !ValidMicro(s, q) {
 				continue
 			}
 			name := s.String() + "/" + q.String()
@@ -214,14 +222,10 @@ func TestStoreDirOptionFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second run through a fresh env must find the tally.
-	env, err := NewEnv(replayTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.store = s
-	cfg := env.Opts.Config
-	if _, _, ok := env.lookupTally(specs[0], cfg); !ok {
+	// A reopened handle must find the tally.
+	reopened := replayTestOptions()
+	reopened.Store = s
+	if _, ok := LookupTally(reopened, specs[0]); !ok {
 		t.Error("flushed store has no tally for the measured cell")
 	}
 }
@@ -328,4 +332,183 @@ func TestStoreKeyNamesTPCDRecordSize(t *testing.T) {
 	wider := opts
 	wider.RecordSize = 2 * opts.RecordSize
 	storeMustMiss(t, opts, wider, CellSpec{Kind: CellTPCD, System: engine.SystemD, Config: opts.Config})
+}
+
+// TestLookupTallyMatchesMeasure pins TallyKey to the entry the
+// protocol writes. Every case is measured into a fresh store and then
+// answered by LookupTally alone, which must return the measured cell
+// bit for bit — and miss once the scale or the warm-up count differs,
+// or once recording is off. The wheretimed service answers repeat
+// requests from this lookup and reports TallyKey as the response key,
+// so no end-to-end byte comparison could catch a key that names the
+// wrong entry.
+func TestLookupTallyMatchesMeasure(t *testing.T) {
+	opts := replayTestOptions()
+	store, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = store
+
+	base := microCell(opts, engine.SystemD, SRS)
+	zeroCfg := base
+	zeroCfg.Config = xeon.Config{}
+	explicit := base
+	explicit.Config.L2SizeKB = 1024
+	offRec := base
+	offRec.RecordSize = 2*opts.RecordSize - storage.FieldSize
+	offSel := base
+	offSel.Selectivity = 0.05
+	cases := []struct {
+		name string
+		spec CellSpec
+	}{
+		{"micro, base record size", base},
+		{"micro, zero config", zeroCfg},
+		{"micro, explicit platform", explicit},
+		{"micro, off-base record size", offRec},
+		{"micro, off-base selectivity", offSel},
+		{"TPC-C", CellSpec{Kind: CellTPCC, System: engine.SystemC, Txns: 60}},
+		// The suite runs over the options' dataset whatever the spec
+		// says, so the spec's own record size must not leak into the key.
+		{"TPC-D, spec record size off the options'",
+			CellSpec{Kind: CellTPCD, System: engine.SystemD, RecordSize: 2 * opts.RecordSize}},
+	}
+	if testing.Short() {
+		cases = cases[:len(cases)-1] // the TPC-D suite; make store-smoke runs it
+	}
+	specs := make([]CellSpec, len(cases))
+	for i, c := range cases {
+		specs[i] = c.spec
+	}
+	res, err := Measure(opts, specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	otherScale, otherWarmup, noRecording := opts, opts, opts
+	otherScale.Scale = 2 * opts.Scale
+	otherWarmup.Warmup = opts.Warmup + 1
+	noRecording.MaxRecordedEvents = -1
+	for _, c := range cases {
+		want, err := res.Get(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := LookupTally(opts, c.spec)
+		if !ok {
+			t.Errorf("%s: no stored tally under TallyKey", c.name)
+			continue
+		}
+		diffCellsExact(t, c.name, got, want)
+		if _, ok := LookupTally(otherScale, c.spec); ok {
+			t.Errorf("%s: a tally measured at scale %g answers at %g", c.name, opts.Scale, otherScale.Scale)
+		}
+		if _, ok := LookupTally(otherWarmup, c.spec); ok {
+			t.Errorf("%s: a tally measured at warm-up %d answers at %d", c.name, opts.Warmup, otherWarmup.Warmup)
+		}
+		if _, ok := LookupTally(noRecording, c.spec); ok {
+			t.Errorf("%s: answered with recording off, where Measure never consults the store", c.name)
+		}
+	}
+}
+
+// TestStoreHealsUndecodableEntries: an entry whose blob fails to decode
+// — bit rot inside a valid index.json, or a layout version this build
+// no longer reads — must not outlive the recompute. For each of the
+// three kinds of entry the protocol reads (tally, trace ref, snapshot),
+// an undecodable blob is planted on disk under the exact key; one
+// Measure must answer the right cell, quarantine the blob and stage the
+// good one in its place, and the flushed index must hold the blob a
+// fresh store holds, so the next process gets a tally hit. Under
+// first-write-wins alone the bad blob stayed forever and every visit
+// recomputed.
+func TestStoreHealsUndecodableEntries(t *testing.T) {
+	opts := replayTestOptions()
+	spec := microCell(opts, engine.SystemD, SRS)
+	unit, cfg := unitKey(opts, spec), opts.Config
+	storeKey := func(kind string, cfg *xeon.Config) string {
+		return tracestore.KeyHash(keyMaterial(kind, unit, opts.Scale, cfg, opts.Warmup))
+	}
+
+	refStore, err := tracestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOpts := opts
+	refOpts.Store = refStore
+	refRes, err := Measure(refOpts, []CellSpec{spec}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refRes.Get(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, key string
+		blob      []byte
+	}{
+		{"tally, bit rot", TallyKey(opts, spec), []byte("\x00rot")},
+		{"tally, old version", TallyKey(opts, spec), []byte(`{"v":0}`)},
+		{"trace ref", storeKey("trace", nil), []byte("\x00rot")},
+		{"snapshot", storeKey("snap", &cfg), []byte("\x00rot")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			good, ok := refStore.GetEntry(c.key)
+			if !ok {
+				t.Fatal("the reference measurement wrote no entry under the key")
+			}
+			dir := t.TempDir()
+			planted, err := tracestore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planted.PutEntry(c.key, c.blob)
+			if err := planted.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			store, err := tracestore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := opts
+			run.Store = store
+			res, err := Measure(run, []CellSpec{spec}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.Get(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffCellsExact(t, "recompute", got, want)
+			if q := store.Stats().Quarantined; q != 1 {
+				t.Errorf("quarantined = %d, want 1", q)
+			}
+			if b, _ := store.GetEntry(c.key); !bytes.Equal(b, good) {
+				t.Errorf("after the recompute the store holds %q, want the fresh store's blob", b)
+			}
+			if err := store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := tracestore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, _ := reopened.GetEntry(c.key); !bytes.Equal(b, good) {
+				t.Errorf("flushed index.json holds %q, want the fresh store's blob", b)
+			}
+			next := opts
+			next.Store = reopened
+			if cell, ok := LookupTally(next, spec); !ok {
+				t.Error("the next lookup is not a tally hit")
+			} else {
+				diffCellsExact(t, "next lookup", cell, want)
+			}
+		})
+	}
 }

@@ -39,9 +39,12 @@ import (
 // DefaultGangWindow is the accumulation window cmd/wheretimed
 // defaults to: long enough for a burst of compatible requests to land
 // in one gang, short against the tens-of-milliseconds cost of even
-// the cheapest simulation. In Config, a zero window means batching is
-// OFF (every request dispatches immediately, the pre-batching
-// behavior); the daemon opts into the default via its flag.
+// the cheapest simulation. Only requests that will simulate pay it: a
+// cell whose tally is stored is answered before the singleflight
+// layer and never enters a window. In Config, a zero window means
+// batching is OFF (every request dispatches immediately, the
+// pre-batching behavior); the daemon opts into the default via its
+// flag.
 const DefaultGangWindow = 5 * time.Millisecond
 
 // DefaultGangMax caps how many requests one window may accumulate

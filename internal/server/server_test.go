@@ -126,17 +126,104 @@ func TestCoalescedRequests(t *testing.T) {
 		t.Error("no request coalesced")
 	}
 
-	// A repeat after the flight landed starts a fresh flight but hits
-	// the tally store instead of re-simulating the cell.
+	// A repeat after the flight landed opens no flight at all: the
+	// stored tally answers it before the singleflight layer.
 	status, b := postCell(t, ts.URL, srsCell)
 	if status != http.StatusOK || !bytes.Equal(b, bodies[0]) {
 		t.Errorf("repeat: status %d, body equal=%v", status, bytes.Equal(b, bodies[0]))
 	}
-	if h2 := health(t, ts.URL); h2.Store == nil || h2.Store.EntryHits < 1 {
-		t.Errorf("repeat did not hit the tally store: %+v", h2.Store)
+	if h2 := health(t, ts.URL); h2.TallyHits != 1 || h2.Simulations != h.Simulations {
+		t.Errorf("repeat: tallyHits %d (want 1), simulations %d -> %d (want unchanged)",
+			h2.TallyHits, h.Simulations, h2.Simulations)
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestTallyHitSkipsMachinery pins the store-first read path: once a
+// cell's tally is stored, a repeat is answered on the request
+// goroutine without a flight, a batching window, a worker slot or the
+// worker fault hook. The worker gate is armed and never released, and
+// the batching server's fake clock never advances, so a repeat that
+// touched either would never answer. The body must equal the priming
+// response and a store-less control server's, tallyHits must count
+// the hit, and simulations must not move. Once draining, the same
+// request answers 503 without even reading the store.
+func TestTallyHitSkipsMachinery(t *testing.T) {
+	_, control := newTestServer(t, nil, nil)
+	status, want := postCell(t, control.URL, srsCell)
+	if status != http.StatusOK {
+		t.Fatalf("control: status %d: %s", status, want)
+	}
+	for _, tc := range []struct {
+		name    string
+		batched bool
+	}{{"unbatched", false}, {"batched", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := tracestore.Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			_, primer := newTestServer(t, store, nil)
+			status, primed := postCell(t, primer.URL, srsCell)
+			if status != http.StatusOK {
+				t.Fatalf("priming: status %d: %s", status, primed)
+			}
+
+			inj := faults.New()
+			entered, release := inj.BlockN(faults.OpWorker, 1) // never released on success
+			cfg := Config{Opts: testOpts(), Store: store, Inj: inj, Logf: t.Logf}
+			if tc.batched {
+				cfg.GangWindow, cfg.clk = time.Hour, newFakeClock() // never advanced
+			}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+
+			var r postResult
+			select {
+			case r = <-asyncPost(t, ts.URL, srsCell):
+			case <-entered:
+				release()
+				t.Fatal("the repeat took a worker slot")
+			case <-time.After(10 * time.Second):
+				srv.BeginDrain() // flush a held window so cleanup can finish
+				release()
+				t.Fatal("the repeat is held: it waits in a batching window or for a worker")
+			}
+			if r.status != http.StatusOK {
+				t.Fatalf("repeat: status %d: %s", r.status, r.body)
+			}
+			if !bytes.Equal(r.body, primed) || !bytes.Equal(r.body, want) {
+				t.Errorf("repeat body differs:\n%s\npriming:\n%s\ncontrol:\n%s", r.body, primed, want)
+			}
+			h := health(t, ts.URL)
+			if h.TallyHits != 1 || h.Simulations != 0 || h.Coalesced != 0 {
+				t.Errorf("tallyHits %d simulations %d coalesced %d, want 1, 0, 0",
+					h.TallyHits, h.Simulations, h.Coalesced)
+			}
+			if tc.batched && h.Batch.BatchedRequests != 0 {
+				t.Errorf("a tally hit entered a batching window: %+v", h.Batch)
+			}
+
+			st0 := store.Stats()
+			srv.BeginDrain()
+			if status, b := postCell(t, ts.URL, srsCell); status != http.StatusServiceUnavailable {
+				t.Errorf("stored cell while draining: status %d, want 503: %s", status, b)
+			}
+			st1 := store.Stats()
+			if h := health(t, ts.URL); h.TallyHits != 1 || st1.EntryHits != st0.EntryHits || st1.EntryMisses != st0.EntryMisses {
+				t.Errorf("a draining server looked the tally up: tallyHits %d, entry hits %d -> %d, misses %d -> %d",
+					h.TallyHits, st0.EntryHits, st1.EntryHits, st0.EntryMisses, st1.EntryMisses)
+			}
+			if err := srv.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
 	}
 }
 
@@ -377,6 +464,9 @@ func TestSpecValidation(t *testing.T) {
 		{"tpcc txns huge", `{"kind":"tpcc","system":"C","txns":1000000}`, "txns"},
 		{"bad platform", `{"kind":"micro","system":"B","query":"SRS","l2kb":-1}`, "platform"},
 		{"negative timeout", `{"kind":"micro","system":"B","query":"SRS","timeoutMs":-1}`, "timeoutMs"},
+		{"IRS on A", `{"kind":"micro","system":"A","query":"IRS"}`, "does not run IRS"},
+		{"BRS on A", `{"kind":"micro","system":"A","query":"BRS"}`, "does not run BRS"},
+		{"IXJ on A", `{"kind":"micro","system":"A","query":"IXJ"}`, "does not run IXJ"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

@@ -247,3 +247,51 @@ func TestOpenRecovering(t *testing.T) {
 		t.Errorf("healthy OpenRecovering counted %d quarantines", st.Quarantined)
 	}
 }
+
+// TestDropEntryHeals: an entry the caller cannot decode — here one
+// loaded from disk — is dropped and counted as quarantined, the next
+// lookup misses, the replacement is staged instead of losing to
+// first-write-wins, and Flush writes it over the bad blob on disk.
+// Dropping an absent key changes nothing.
+func TestDropEntryHeals(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	s.PutEntry("tally|k", []byte("rotten"))
+	s.PutEntry("tally|other", []byte("fine"))
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	s2.DropEntry("tally|k")
+	s2.DropEntry("absent")
+	if st := s2.Stats(); st.Quarantined != 1 {
+		t.Errorf("Stats.Quarantined = %d, want 1 (absent keys are not counted)", st.Quarantined)
+	}
+	if _, ok := s2.GetEntry("tally|k"); ok {
+		t.Fatal("dropped entry still answers")
+	}
+	s2.PutEntry("tally|k", []byte("good"))
+	if b, ok := s2.GetEntry("tally|k"); !ok || string(b) != "good" {
+		t.Fatalf("after re-put: %q, %v; want the replacement", b, ok)
+	}
+	if err := s2.Flush(); err != nil {
+		t.Fatalf("Flush after heal: %v", err)
+	}
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after heal: %v", err)
+	}
+	for k, want := range map[string]string{"tally|k": "good", "tally|other": "fine"} {
+		if b, ok := s3.GetEntry(k); !ok || string(b) != want {
+			t.Errorf("on disk %s = %q, %v; want %q", k, b, ok, want)
+		}
+	}
+}

@@ -35,6 +35,9 @@
 //     recompute path rewrites a good copy under the same digest. The
 //     load that hit the corruption still returns its error; callers
 //     already treat load errors as misses.
+//   - An index entry whose blob the caller cannot decode is dropped
+//     (DropEntry, counted as quarantined), so the recompute's write
+//     replaces it instead of losing to first-write-wins.
 //   - A write that still fails after retries flips the store
 //     read-only: later writes return ErrReadOnly immediately rather
 //     than hammering an unwritable directory, while reads (and the
@@ -335,6 +338,23 @@ func (s *Store) PutEntry(key string, blob []byte) {
 	s.entries[key] = b
 	s.added[key] = b
 	s.stats.EntriesAdded++
+}
+
+// DropEntry removes the entry under key, counted as quarantined. The
+// caller found its blob undecodable — bit rot, or a layout version
+// this build no longer reads — and first-write-wins would otherwise
+// pin it for good: with it gone, the next lookup misses cleanly and
+// the recompute's PutEntry stages a good blob, which Flush then
+// writes over the bad one on disk. Dropping an absent key is a no-op.
+func (s *Store) DropEntry(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[key]; !ok {
+		return
+	}
+	delete(s.entries, key)
+	delete(s.added, key)
+	s.quarantined.Add(1)
 }
 
 // Flush merges this process's added entries into index.json (reading
