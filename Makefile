@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test short race bench batch-smoke replay-smoke gang-smoke compress-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check cover lint fmt golden profile profile-gang bench-json bench-compare ci
+.PHONY: build test short race bench batch-smoke replay-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check cover lint fmt golden profile profile-gang bench-json bench-compare ci
 
 build:
 	$(GO) build ./...
@@ -45,11 +45,12 @@ batch-smoke:
 	$(GO) test -count=1 -run 'TestGoldenFiles|TestBatchedMatchesReferenceSubset' ./internal/harness
 
 # The replay-equivalence smoke: renders the experiment grid with
-# recording/replay force-enabled (the default; TestGoldenFiles) and
-# force-disabled (every run re-executes the engine) and diffs both
-# against the same goldens. Fails if replay changes any figure.
+# recording/replay force-disabled (every run re-executes the engine)
+# and diffs it against the goldens. Fails if replay changes any
+# figure. The replay-enabled default is TestGoldenFiles, which
+# batch-smoke already renders.
 replay-smoke:
-	$(GO) test -count=1 -run 'TestGoldenFiles|TestReplayDisabledMatchesGoldens' ./internal/harness
+	$(GO) test -count=1 -run 'TestReplayDisabledMatchesGoldens' ./internal/harness
 
 # The gang-equivalence smoke: a multi-platform grid measured as gangs
 # and with every cell its own unit (a gang of one) must agree counter
@@ -58,15 +59,6 @@ replay-smoke:
 # must match the straight-line Section 4.3 reference.
 gang-smoke:
 	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestProtocolMatchesReference' ./internal/harness
-
-# The compression-equivalence smoke: the full golden grid rendered
-# with recorded traces in the columnar compressed arena (the default;
-# TestGoldenFiles), with the raw []Event arena, plus the codec
-# round-trip and fuzz-seed regression tests. Fails if the codec
-# changes a single byte of any figure or loses an event anywhere.
-compress-smoke:
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip' ./internal/trace
-	$(GO) test -count=1 -run 'TestGoldenFiles|TestCompressionDisabledMatchesGoldens' ./internal/harness
 
 # The scenario smoke: the five scenario experiments (Grace hash join,
 # sort-based aggregation, B-tree range scan, join-sort-aggregate,
@@ -83,18 +75,18 @@ scenario-smoke:
 # pinned per-scenario stream digests, and the plan-tree equivalence
 # fuzz target over its committed seed corpus
 # (testdata/fuzz/FuzzPlanTreeEquivalence — seeds only, no -fuzz;
-# mirrors how compress-smoke runs FuzzCodecRoundTrip).
+# mirrors how race runs FuzzCodecRoundTrip's seeds).
 op-smoke:
 	$(GO) test -race -count=1 ./internal/engine/op
 	$(GO) test -count=1 -run 'TestStreamDigestsPinned|FuzzPlanTreeEquivalence' ./internal/engine
 
 # The warm-start smoke: the tracestore package (corrupt-input and
-# fuzz-seed regressions included), the snapshot/store equivalence
-# tests, the store-key tests (an entry written at another scale or
-# TPC-D record size must never answer; TallyKey names the entry the
-# protocol writes, read back bit-identical by LookupTally), the
-# self-healing test (an undecodable tally, trace ref or snapshot blob
-# is replaced by the recompute), then the real CLI run twice against
+# fuzz-seed regressions included), the store warm-hit tests (exact
+# store traffic per unit), the store-key tests (an entry written at
+# another scale or TPC-D record size must never answer; TallyKey names
+# the entry the protocol writes, read back bit-identical by
+# LookupTally), the self-healing test (an undecodable tally or trace
+# ref is replaced by the recompute), then the real CLI run twice against
 # one store directory —
 # stdout must be byte-identical cold vs warm, and the warm run's
 # stderr stats line must report nonzero entry hits (proof the second
@@ -102,7 +94,7 @@ op-smoke:
 STORE_SMOKE_DIR := /tmp/wheretime-store-smoke
 store-smoke:
 	$(GO) test -count=1 ./internal/tracestore
-	$(GO) test -count=1 -run 'TestSnapshotRestoreMatchesDrain|TestStoreWarmHits|TestStoreDirOptionFlushes|TestStoreKeyNames|TestLookupTallyMatchesMeasure|TestStoreHealsUndecodableEntries' ./internal/harness
+	$(GO) test -count=1 -run 'TestStoreWarmHits|TestStoreDirOptionFlushes|TestStoreKeyNames|TestLookupTallyMatchesMeasure|TestStoreHealsUndecodableEntries' ./internal/harness
 	rm -rf $(STORE_SMOKE_DIR) && mkdir -p $(STORE_SMOKE_DIR)
 	$(GO) run ./cmd/wheretime -experiment fig5.1 -scale 0.002 -store $(STORE_SMOKE_DIR)/store \
 		> $(STORE_SMOKE_DIR)/cold.out 2> $(STORE_SMOKE_DIR)/cold.err
@@ -183,4 +175,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build race bench batch-smoke replay-smoke gang-smoke compress-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check
+ci: lint build race bench batch-smoke replay-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check

@@ -406,12 +406,14 @@ func BenchmarkReplayVsExecute(b *testing.B) {
 }
 
 // BenchmarkCompressedReplay is the compression-ratio record: it
-// captures the full TPC-C measured mix once per arena layout —
-// columnar-compressed and raw []Event chunks — and replays each into
-// the simulator. The arena_mb/raw_mb/ratio metrics are the measured
-// size trade on a real engine stream (the acceptance bar is >= 4x),
-// and compressed-vs-raw ns/op is what the fused block decode costs on
-// top of the same ProcessBatch hot loop. Together with
+// captures the full TPC-C measured mix once and replays it into the
+// simulator two ways — from the columnar-compressed recording, and
+// from a plain []Event slice of the same stream fed through
+// ProcessBatch in RecordChunkEvents-sized batches, the zero-decode
+// reference. The arena_mb/raw_mb/ratio metrics are the measured size
+// trade on a real engine stream (the acceptance bar is >= 4x), and
+// compressed-vs-raw ns/op is what the fused block decode costs on top
+// of the same ProcessBatch hot loop. Together with
 // BenchmarkReplayVsExecute (replay vs re-execution of the same mix)
 // this locates the DRAM-vs-recompute crossover behind
 // harness.DefaultMaxRecordedEvents; docs/PERF.md quotes both.
@@ -421,7 +423,6 @@ func BenchmarkCompressedReplay(b *testing.B) {
 		name string
 		raw  bool
 	}{{"compressed", false}, {"raw", true}} {
-		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			db, err := workload.BuildTPCC(workload.DefaultTPCCDims())
 			if err != nil {
@@ -430,7 +431,6 @@ func BenchmarkCompressedReplay(b *testing.B) {
 			e := engine.New(engine.SystemC, db.Catalog)
 			pipe := xeon.New(xeon.DefaultConfig())
 			rec := trace.NewRecorder(pipe, 0)
-			rec.SetRawArena(mode.raw)
 			buf := trace.NewBuffer(rec, 0)
 			if _, err := workload.RunTPCC(db, e, buf, txns); err != nil {
 				b.Fatal(err)
@@ -441,18 +441,43 @@ func BenchmarkCompressedReplay(b *testing.B) {
 				b.Fatal("uncapped recorder overflowed")
 			}
 			defer r.Release()
-			b.SetBytes(int64(r.Len()) * trace.EventBytes)
+			n, arena, drain := r.Len(), r.Bytes(), r.Drain
+			if mode.raw {
+				s := &eventSlice{events: make([]trace.Event, 0, n)}
+				r.Drain(s)
+				arena, drain = len(s.events)*trace.EventBytes, s.drain
+			}
+			b.SetBytes(int64(n) * trace.EventBytes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Drain(pipe)
+				drain(pipe)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(r.Bytes())/(1<<20), "arena_mb")
-			b.ReportMetric(float64(r.RawBytes())/(1<<20), "raw_mb")
-			b.ReportMetric(float64(r.RawBytes())/float64(r.Bytes()), "ratio")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Len()), "ns/event")
+			b.ReportMetric(float64(arena)/(1<<20), "arena_mb")
+			b.ReportMetric(float64(n*trace.EventBytes)/(1<<20), "raw_mb")
+			b.ReportMetric(float64(n*trace.EventBytes)/float64(arena), "ratio")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/event")
 		})
+	}
+}
+
+// eventSlice is a plain in-memory event stream: filled as a
+// BatchProcessor (a recording's drain calls only ProcessBatch),
+// drained in RecordChunkEvents-sized batches, the batch shape a
+// recording's drain delivers.
+type eventSlice struct {
+	trace.Discard
+	events []trace.Event
+}
+
+func (s *eventSlice) ProcessBatch(events []trace.Event) { s.events = append(s.events, events...) }
+
+func (s *eventSlice) drain(p trace.BatchProcessor) {
+	for evs := s.events; len(evs) > 0; {
+		n := min(len(evs), trace.RecordChunkEvents)
+		p.ProcessBatch(evs[:n])
+		evs = evs[n:]
 	}
 }
 

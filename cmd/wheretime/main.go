@@ -78,10 +78,8 @@ func main() {
 		btb         = flag.String("btb", "", "override BTB entries; a comma-separated list sweeps platforms (0 or empty = Pentium II's 512)")
 		parallel    = flag.Int("parallel", harness.DefaultParallelism(), "worker count for the experiment grid (1 = serial)")
 		maxrec      = flag.Int("maxrecorded", 0, "recording cap in events for the record-once/replay-many engine (0 = default, negative disables replay)")
-		compress    = flag.Bool("compress", true, "keep recorded traces in the columnar compressed arena (off: raw []Event chunks, ~8x the memory; output is identical)")
 		cachemb     = flag.Int("cachemb", 0, "per-worker trace-cache budget in MiB of retained (compressed) arena (0 = default, negative disables cross-cell retention)")
-		snapshot    = flag.Bool("snapshot", true, "memoize post-warm-up pipeline states and restore them on cell revisits; warm-up drains stop early at a state fixed point (off: drain every warm-up run, for debugging; output is identical)")
-		storeDir    = flag.String("store", "", "persistent trace/tally store directory: captures, tallies and snapshots persist across runs, so a warm directory starts the grid from disk (requires recording)")
+		storeDir    = flag.String("store", "", "persistent trace/tally store directory: captures and tallies persist across runs, so a warm directory starts the grid from disk (requires recording)")
 	)
 	flag.Parse()
 
@@ -98,10 +96,6 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *maxrec < 0 {
-		if set["compress"] && !*compress {
-			fmt.Fprintln(os.Stderr, "wheretime: -compress=false contradicts -maxrecorded < 0: recording is disabled, no trace arena exists")
-			os.Exit(2)
-		}
 		if set["cachemb"] && *cachemb > 0 {
 			fmt.Fprintln(os.Stderr, "wheretime: -cachemb > 0 contradicts -maxrecorded < 0: recording is disabled, nothing can be cached")
 			os.Exit(2)
@@ -117,7 +111,6 @@ func main() {
 	opts.Selectivity = *selectivity
 	opts.RecordSize = *recsize
 	opts.MaxRecordedEvents = *maxrec
-	opts.UncompressedArena = !*compress
 	// A negative budget means "retain nothing"; scaling it by MiB would
 	// just produce a different negative number, so map it to -1 exactly.
 	if *cachemb < 0 {
@@ -125,7 +118,6 @@ func main() {
 	} else {
 		opts.TraceCacheBytes = *cachemb << 20
 	}
-	opts.Snapshot = *snapshot
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -80,8 +81,10 @@ func TestOptionsValidate(t *testing.T) {
 		{func(o *Options) { o.Scale = 0 }, "scale"},
 		{func(o *Options) { o.Scale = 1.5 }, "scale"},
 		{func(o *Options) { o.Scale = -0.1 }, "scale"},
+		{func(o *Options) { o.Scale = math.NaN() }, "scale"},
 		{func(o *Options) { o.Selectivity = -0.01 }, "selectivity"},
 		{func(o *Options) { o.Selectivity = 1.01 }, "selectivity"},
+		{func(o *Options) { o.Selectivity = math.NaN() }, "selectivity"},
 		{func(o *Options) { o.RecordSize = 4 }, "record size"},
 		{func(o *Options) { o.Warmup = -1 }, "warmup"},
 	}

@@ -193,7 +193,7 @@ func (env *Env) subEnv(recordSize int) (*Env, error) {
 	opts.RecordSize = recordSize
 	// The sub-environment shares the parent's warm-start machinery
 	// rather than opening its own: clear the store options before
-	// building, then alias the parent's cache, memo and store handle
+	// building, then alias the parent's trace cache and store handle
 	// (the keys all include the record size, so sharing is safe).
 	opts.StoreDir = ""
 	opts.Store = nil
@@ -202,7 +202,6 @@ func (env *Env) subEnv(recordSize int) (*Env, error) {
 		return nil, err
 	}
 	sub.traces = env.traces
-	sub.snaps = env.snaps
 	sub.store = env.store
 	env.subenvs[recordSize] = sub
 	return sub, nil
@@ -222,8 +221,7 @@ type cellTrace struct {
 }
 
 // bytes returns the capture's retained arena footprint — compressed
-// bytes, the quantity the worker's cache budget is denominated in
-// (raw bytes under Options.UncompressedArena).
+// bytes, the quantity the worker's cache budget is denominated in.
 func (ct *cellTrace) bytes() int {
 	n := ct.stream.Bytes()
 	if ct.warm != nil {

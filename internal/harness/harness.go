@@ -114,31 +114,15 @@ type Options struct {
 	MaxRecordedEvents int
 	// TraceCacheBytes budgets the per-worker trace cache in retained
 	// arena bytes — compressed bytes, since that is what the arenas
-	// occupy (raw bytes under UncompressedArena). Zero means
-	// DefaultTraceCacheBytes; negative disables cross-cell retention
-	// entirely (within-cell record/replay still works — captures just
-	// release as soon as their cell finishes).
+	// occupy. Zero means DefaultTraceCacheBytes; negative disables
+	// cross-cell retention entirely (within-cell record/replay still
+	// works — captures just release as soon as their cell finishes).
 	TraceCacheBytes int
-	// UncompressedArena keeps captures in the raw []Event chunk layout
-	// instead of the columnar compressed arena. The decoded stream is
-	// byte-identical either way — the compress-smoke CI step diffs the
-	// rendered goldens across both settings — so this exists for that
-	// diff and for measuring what the codec costs and saves
-	// (BenchmarkCompressedReplay), not for experiments.
-	UncompressedArena bool
-	// Snapshot enables pipeline-state snapshotting (see warmstart.go):
-	// post-warm-up machine states are memoized per (cell, platform) and
-	// restored on revisits, and consecutive warm-up drains stop early at
-	// a state fixed point. Outputs are byte-identical either way — the
-	// golden suite renders both settings against the same files.
-	// DefaultOptions enables it; it only engages when recording is on
-	// (the re-execution fallback paths never snapshot).
-	Snapshot bool
 	// StoreDir, when non-empty, opens a persistent tracestore at that
-	// directory: captured streams, cell tallies and post-warm-up
-	// snapshots persist across processes, so a warm directory starts the
-	// grid from disk instead of from zero. The env owns the store and
-	// Close flushes it. Requires recording (MaxRecordedEvents >= 0).
+	// directory: captured streams and cell tallies persist across
+	// processes, so a warm directory starts the grid from disk instead
+	// of from zero. The env owns the store and Close flushes it.
+	// Requires recording (MaxRecordedEvents >= 0).
 	StoreDir string
 	// Store hands the environment an already-open store instead of a
 	// directory; the caller keeps ownership (and calls Flush). Measure
@@ -214,12 +198,13 @@ func (o Options) traceCacheBytes() int {
 // Validate rejects option values the environment builders would panic
 // on or silently misbehave with, so CLIs can fail with a usage error
 // instead: scale outside (0, 1], selectivity outside [0, 1], a record
-// size below the storage minimum.
+// size below the storage minimum. The range checks are written so that
+// NaN, which fails every comparison, fails them too.
 func (o Options) Validate() error {
-	if o.Scale <= 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) {
 		return fmt.Errorf("harness: scale %v out of (0, 1]", o.Scale)
 	}
-	if o.Selectivity < 0 || o.Selectivity > 1 {
+	if !(o.Selectivity >= 0 && o.Selectivity <= 1) {
 		return fmt.Errorf("harness: selectivity %v out of [0, 1]", o.Selectivity)
 	}
 	if o.RecordSize < storage.MinRecordSize {
@@ -240,7 +225,6 @@ func DefaultOptions() Options {
 		Selectivity: 0.10,
 		Config:      xeon.DefaultConfig(),
 		Warmup:      1,
-		Snapshot:    true,
 	}
 }
 
@@ -279,11 +263,6 @@ type Env struct {
 	// the env's sub-environments and selectivity shifts. Nil when
 	// recording is disabled.
 	traces *traceCache
-
-	// snaps memoizes post-warm-up pipeline states (see warmstart.go),
-	// shared with sub-environments like traces. Nil when snapshotting
-	// or recording is off.
-	snaps *snapMemo
 
 	// store is the persistent trace/tally store, nil when none is
 	// configured. ownStore marks a store the env opened itself from
@@ -328,9 +307,6 @@ func NewEnv(opts Options) (*Env, error) {
 		memo: make(map[CellSpec]Cell), subenvs: make(map[int]*Env)}
 	if opts.maxRecorded() >= 0 {
 		env.traces = newTraceCache(opts.traceCacheBytes())
-		if opts.Snapshot {
-			env.snaps = newSnapMemo(snapMemoCap)
-		}
 		// The persistent store rides on recording: without captures there
 		// is nothing sound to persist or replay.
 		if opts.Store != nil {
@@ -487,15 +463,12 @@ func (env *Env) ctxErr() error {
 }
 
 // newRecorder returns a recorder capturing the sink's input into the
-// worker's trace arena — columnar-compressed unless the options keep
-// the raw layout — or nil when recording is disabled.
+// worker's trace arena, or nil when recording is disabled.
 func (env *Env) newRecorder(sink trace.Processor) *trace.Recorder {
 	if env.traces == nil {
 		return nil
 	}
-	rec := trace.NewRecorder(sink, env.Opts.maxRecorded())
-	rec.SetRawArena(env.Opts.UncompressedArena)
-	return rec
+	return trace.NewRecorder(sink, env.Opts.maxRecorded())
 }
 
 // captured returns a recorder's complete capture: nil when there was
@@ -540,8 +513,7 @@ func (env *Env) passes(kind CellKind) int {
 
 // source is one cell kind's workload: what the protocol executes when
 // no capture exists. Everything else — tallies, captures, replay,
-// snapshots, re-execution — is common to every kind and lives in
-// measure.
+// re-execution — is common to every kind and lives in measure.
 type source struct {
 	// warm, when set, is a distinct warm-up phase run once before the
 	// passes: TPC-C's slice of the mix, which mutates the database the
@@ -663,7 +635,7 @@ func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
 	multi := xeon.NewMulti(cfgs)
 	ct, fromStore := env.cellStream(key)
 	if ct != nil {
-		env.drainWarm(multi, ct, key, cfgs, env.passes(key.Kind), 0)
+		drainWarm(multi, ct, env.passes(key.Kind), 0)
 		if fromStore {
 			// Filed only after its last drain: inserting a capture over
 			// the cache budget releases it on the spot.
@@ -671,7 +643,7 @@ func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
 		}
 	} else {
 		var err error
-		if ct, err = env.execute(multi, key, cfgs); err != nil {
+		if ct, err = env.execute(multi, key); err != nil {
 			return nil, workload.TPCCStats{}, err
 		}
 	}
@@ -704,7 +676,7 @@ func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
 // run to completion (nothing to leak, nothing slow to interrupt). A
 // complete capture is stored for revisits. The returned cellTrace
 // carries the results; its streams are nil when nothing was captured.
-func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec, cfgs []xeon.Config) (*cellTrace, error) {
+func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec) (*cellTrace, error) {
 	src, err := env.newSource(key)
 	if err != nil {
 		return nil, err
@@ -726,20 +698,14 @@ func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec, cfgs []xeon.Con
 		rec = env.newRecorder(multi)
 	}
 	if passes == 1 {
-		// The first pass is the measured one. A warm phase has just
-		// brought the pipelines to the post-warm-up point; a revisit
-		// restores that state instead of draining the warm capture.
-		if src.warm != nil && env.snapshotOn() {
-			env.snapStoreAll(key, cfgs, multi.Snapshot(nil))
-		}
-		multi.ResetStats()
+		multi.ResetStats() // the first pass is the measured one
 	}
 	if err := src.pass(env.sink(rec, multi), out); err != nil {
 		return nil, err
 	}
 
 	if out.stream = captured(rec); out.stream != nil {
-		env.drainWarm(multi, out, key, cfgs, passes, 1)
+		drainWarm(multi, out, passes, 1)
 		env.putStoredTrace(key, out)
 		env.traces.store(key, out)
 		return out, nil

@@ -105,22 +105,20 @@ func FuzzGangKeyCompat(f *testing.F) {
 	// fixed.
 	f.Add(uint8(1), uint8(1), uint8(1), 1.26, 100, 0, uint16(512), uint16(512),
 		uint8(1), uint8(1), uint8(2), 0.259, 36, 81, uint16(512), uint16(512), uint8(1))
+	// Regression shape: a platform pair whose selectivities are 0 and
+	// -0, which compare equal and so must share one gang key (the key
+	// material once hashed their distinct bits).
+	f.Add(uint8(0), uint8(3), uint8(0), 0.0, 100, 0, uint16(512), uint16(512),
+		uint8(0), uint8(3), uint8(0), math.Copysign(0, -1), 100, 0, uint16(2048), uint16(512), uint8(1))
 	f.Fuzz(func(t *testing.T,
 		kindA, sysA, qA uint8, selA float64, recA, txnsA int, l2A, btbA uint16,
 		kindB, sysB, qB uint8, selB float64, recB, txnsB int, l2B, btbB uint16,
 		warmup uint8) {
 		// The request decoder never admits a NaN selectivity, and NaN
 		// breaks the struct-equality half of the property by design
-		// (NaN != NaN); negative zero folds to zero the same way the
-		// decoder's range check (> 0) forbids it.
+		// (NaN != NaN).
 		if math.IsNaN(selA) || math.IsNaN(selB) {
 			t.Skip()
-		}
-		if selA == 0 {
-			selA = 0
-		}
-		if selB == 0 {
-			selB = 0
 		}
 		mk := func(kind, sys, q uint8, sel float64, rec, txns int, l2, btb uint16) CellSpec {
 			systems := []engine.System{engine.SystemA, engine.SystemB, engine.SystemC, engine.SystemD}

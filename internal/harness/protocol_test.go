@@ -18,8 +18,8 @@ func must(t *testing.T, err error) {
 }
 
 // referenceMeasure is the Section 4.3 protocol written straight out: one
-// plain pipeline (no recorder, snapshot, store or MultiPipeline), every
-// pass executed, the counters reset before the measured one.
+// plain pipeline (no recorder, store or MultiPipeline), every pass
+// executed, the counters reset before the measured one.
 func referenceMeasure(t *testing.T, opts Options, spec CellSpec) Cell {
 	opts.MaxRecordedEvents = -1 // the env lends its data and engines, nothing else
 	env, err := NewEnv(opts)
@@ -68,8 +68,9 @@ func referenceMeasure(t *testing.T, opts Options, spec CellSpec) Cell {
 
 // TestProtocolMatchesReference checks measure against the reference,
 // counter for counter, as a gang of one (RunSpec, live) and as a member
-// of a gang of three (RunGang, replaying that capture). Warmup 3 with
-// snapshots on pits the fixed-point early stop against a full warm-up.
+// of a gang of three (RunGang, replaying that capture). Warmup 3 gives
+// both paths several warm-up drains: the live one replays the capture
+// taken in flight, the gang one drains it from the trace cache.
 func TestProtocolMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference TPC-D and TPC-C runs in -short mode; make gang-smoke runs it")

@@ -315,28 +315,3 @@ func TestReplayDisabledMatchesGoldens(t *testing.T) {
 		})
 	}
 }
-
-// TestCompressionDisabledMatchesGoldens renders the full experiment
-// grid with captures kept in the raw []Event arena layout and diffs
-// it against the goldens the compressed default produced: the
-// compress-smoke equivalence — the columnar codec must be invisible
-// to every figure.
-func TestCompressionDisabledMatchesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid in -short mode")
-	}
-	opts := goldenOptions()
-	opts.UncompressedArena = true
-	got := renderGolden(t, opts)
-	for _, e := range Experiments() {
-		t.Run(e.Name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(e.Name))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFiles with -update first): %v", err)
-			}
-			if got[e.Name] != string(want) {
-				t.Errorf("raw-arena output differs from compressed-arena golden for %s", e.Name)
-			}
-		})
-	}
-}

@@ -1,30 +1,23 @@
 package harness
 
 // This file is the warm-start layer: everything that lets a grid cell
-// skip work a previous measurement already did, at three depths.
+// skip work a previous measurement already did, at two depths.
 //
-//  1. Snapshot memo (in-process). After a cell's warm-up drains, the
-//     pipeline's complete simulated state (xeon.State) is memoized per
-//     (emission key, platform config). A revisit restores the state
-//     and runs only the measured drain — the warm-up passes become a
-//     handful of memcpys. On top of that, consecutive warm-up drains
-//     are compared for a fixed point: once the state stops changing,
-//     further warm-up passes are provably no-ops and stop early.
-//  2. Trace store (on disk). Captured streams persist as
+//  1. Trace store (on disk). Captured streams persist as
 //     content-addressed files (tracestore.PutTrace) with a small ref
 //     entry carrying what replay cannot recompute; a fresh process
 //     replays from disk instead of re-executing the engine.
-//  3. Tally store (on disk). The finished breakdown of a cell —
+//  2. Tally store (on disk). The finished breakdown of a cell —
 //     counts, cycle components (as float bits, so the round trip is
 //     exact), rates, result — persists keyed by (unit key, scale,
 //     config, warm-up count). A warm process skips the simulation
 //     entirely.
 //
 // Every shortcut reproduces the Section 4.3 protocol bit-for-bit: the
-// golden suite renders the grid with snapshotting on and off, and with
-// the store cold, warm and absent, against the same committed files.
-// Store keys fold in engine.StreamSchema(), so a store populated by
-// one emission schema is never consulted by another.
+// golden suite renders the grid with the store cold, warm and absent,
+// against the same committed files. Store keys fold in
+// engine.StreamSchema(), so a store populated by one emission schema
+// is never consulted by another.
 
 import (
 	"encoding/json"
@@ -38,86 +31,39 @@ import (
 	"wheretime/internal/xeon"
 )
 
-// snapMemoCap bounds the per-worker snapshot memo. A State is ~150 KB
-// at the default geometry, so the cap keeps the memo's footprint in
-// the tens of megabytes, in line with the trace cache budget.
-const snapMemoCap = 128
-
-// snapKey identifies a post-warm-up pipeline state: the emission key
-// names the stream that warmed the pipeline, the config names the
-// platform it warmed. A pipe's state after warm-up does not depend on
-// the gang it was drained in, so gangs of any width share entries.
-type snapKey struct {
-	spec CellSpec
-	cfg  xeon.Config
-}
-
-// snapMemo holds memoized post-warm-up states with insertion-order
-// eviction. Like the trace cache, it belongs to one worker goroutine.
-type snapMemo struct {
-	limit int
-	order []snapKey
-	m     map[snapKey]*xeon.State
-}
-
-func newSnapMemo(limit int) *snapMemo {
-	return &snapMemo{limit: limit, m: make(map[snapKey]*xeon.State)}
-}
-
-func (sm *snapMemo) lookup(k snapKey) *xeon.State {
-	if sm == nil {
-		return nil
-	}
-	return sm.m[k]
-}
-
-func (sm *snapMemo) store(k snapKey, st *xeon.State) {
-	if sm == nil || st == nil {
-		return
-	}
-	if _, ok := sm.m[k]; ok {
-		sm.m[k] = st
-		return
-	}
-	for len(sm.order) >= sm.limit {
-		oldest := sm.order[0]
-		sm.order = sm.order[1:]
-		delete(sm.m, oldest)
-	}
-	sm.m[k] = st
-	sm.order = append(sm.order, k)
-}
-
-// snapshotOn reports whether the snapshot layer is active: it requires
-// both the option and recording (a snapshot is only sound when every
-// warm-up pass drains the identical recorded stream; the re-execution
-// fallback paths never consult it).
-func (env *Env) snapshotOn() bool { return env.snaps != nil }
-
 // keyMaterial builds the index-key material for one stored artifact.
 // Every key folds in the emission schema token, so a store written by
 // one engine version is a clean miss for any other, and the dataset
 // scale, which shapes every stream without being part of any spec.
-// Config-dependent artifacts (tallies, snapshots) also fold in the
-// platform and the warm-up count; trace refs deliberately do not — the
-// stream is a pure function of the emission key and scale, which is
-// the whole point of gangs.
+// Tallies also fold in the platform and the warm-up count; trace refs
+// deliberately do not — the stream is a pure function of the emission
+// key and scale, which is the whole point of gangs.
 //
 // The emission-key fields are spelled out one by one — never through
 // CellSpec.String, whose diagnostic rendering drops workload fields
 // for some kinds and would collide distinct specs onto one key
 // (FuzzGangKeyCompat hunts exactly this). Scale and selectivity fold
-// in as their IEEE-754 bits so the material is injective over
-// distinct floats.
+// in as their IEEE-754 bits (see keyBits) so the material is
+// injective over distinct floats.
 func keyMaterial(kind string, spec CellSpec, scale float64, cfg *xeon.Config, warmup int) string {
 	e := emissionKey(spec)
 	mat := fmt.Sprintf("wheretime|%s|schema=%s|scalebits=%x|spec=kind=%d,sys=%d,q=%d,selbits=%x,rec=%d,txns=%d",
-		kind, engine.StreamSchema(), math.Float64bits(scale), e.Kind, e.System, e.Query,
-		math.Float64bits(e.Selectivity), e.RecordSize, e.Txns)
+		kind, engine.StreamSchema(), keyBits(scale), e.Kind, e.System, e.Query,
+		keyBits(e.Selectivity), e.RecordSize, e.Txns)
 	if cfg != nil {
 		mat = fmt.Sprintf("%s|cfg=%+v|warmup=%d", mat, *cfg, warmup)
 	}
 	return mat
+}
+
+// keyBits returns f's IEEE-754 bits with -0 folded to +0: the two
+// compare equal, so a spec carrying either is one spec and must name
+// one key.
+func keyBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // storeKey derives the index key for one stored artifact under this
@@ -174,95 +120,22 @@ func GangKey(opts Options, spec CellSpec) string {
 
 // drainWarm finishes the Section 4.3 protocol from a capture on a
 // gang: the warm phase (TPC-C's slice; on the cold path it already ran
-// live), passes-1 warm-up drains of the stream, ResetStats, one
+// live), the remaining warm-up drains of the stream, ResetStats, one
 // measured drain — with done passes already performed live by the
 // caller (1 on the cold path, whose first pass was captured in flight;
-// 0 on a capture hit). With the snapshot layer on, memoized
-// post-warm-up states replace the whole warm-up with one restore; and
-// each warm-up drain's state is compared with the previous one, so a
-// fixed point stops warm-up early — every further pass is provably a
-// no-op because the next drain's outcome depends only on this state.
-// Either shortcut leaves every pipe exactly where the full protocol
-// would; the golden suite pins this across every leg.
-func (env *Env) drainWarm(multi *xeon.MultiPipeline, ct *cellTrace, spec CellSpec, cfgs []xeon.Config, passes, done int) {
+// 0 on a capture hit).
+func drainWarm(multi *xeon.MultiPipeline, ct *cellTrace, passes, done int) {
 	if done >= passes {
 		return
 	}
-	snap := env.snapshotOn() && (passes > 1 || ct.warm != nil)
-	if !snap || !env.restoreAll(multi, spec, cfgs) {
-		if ct.warm != nil {
-			ct.warm.Drain(multi)
-		}
-		var prev, cur *xeon.MultiState
-		for i := done; i < passes-1; i++ {
-			ct.stream.Drain(multi)
-			if !snap {
-				continue
-			}
-			cur = multi.Snapshot(cur)
-			if cur.Equal(prev) {
-				break // fixed point: the remaining warm-up passes are no-ops
-			}
-			prev, cur = cur, prev
-		}
-		if snap {
-			env.snapStoreAll(spec, cfgs, multi.Snapshot(prev))
-		}
+	if ct.warm != nil {
+		ct.warm.Drain(multi)
+	}
+	for i := done; i < passes-1; i++ {
+		ct.stream.Drain(multi)
 	}
 	multi.ResetStats()
 	ct.stream.Drain(multi)
-}
-
-// restoreAll brings every pipe of the gang to its memoized
-// post-warm-up state — from the in-process memo, else the store — and
-// reports whether it did. It is all-or-nothing: one missing state, or
-// a geometry mismatch anywhere (RestoreStates checks the whole gang
-// before touching any pipe), leaves the gang untouched and falls back
-// to draining. Only called on the snapshot path.
-func (env *Env) restoreAll(multi *xeon.MultiPipeline, spec CellSpec, cfgs []xeon.Config) bool {
-	states := make([]*xeon.State, len(cfgs))
-	for i, cfg := range cfgs {
-		k := snapKey{spec: emissionKey(spec), cfg: cfg}
-		if states[i] = env.snaps.lookup(k); states[i] != nil {
-			continue
-		}
-		if env.store == nil {
-			return false
-		}
-		key := env.storeKey("snap", spec, &cfg)
-		blob, ok := env.store.GetEntry(key)
-		if !ok {
-			return false
-		}
-		st := &xeon.State{}
-		if st.UnmarshalBinary(blob) != nil {
-			// A corrupt snapshot blob is a miss too: drop it so the
-			// recompute's snapshot replaces it.
-			env.store.DropEntry(key)
-			return false
-		}
-		env.snaps.store(k, st)
-		states[i] = st
-	}
-	return multi.RestoreStates(states) == nil
-}
-
-// snapStoreAll memoizes each configuration's post-warm-up state under
-// its per-config key — a pipe's state after warm-up does not depend on
-// the gang it was drained in — and persists it when a store is
-// attached. The states must not be mutated afterwards.
-func (env *Env) snapStoreAll(spec CellSpec, cfgs []xeon.Config, st *xeon.MultiState) {
-	if env.snaps == nil {
-		return
-	}
-	for i, cfg := range cfgs {
-		env.snaps.store(snapKey{spec: emissionKey(spec), cfg: cfg}, st.At(i))
-		if env.store != nil {
-			if blob, err := st.At(i).MarshalBinary(); err == nil {
-				env.store.PutEntry(env.storeKey("snap", spec, &cfg), blob)
-			}
-		}
-	}
 }
 
 // tallyVersion tags the storedTally JSON layout; traceRefVersion the

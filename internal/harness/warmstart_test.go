@@ -13,9 +13,9 @@ import (
 )
 
 // The warm-start contract, pinned from both ends: every shortcut —
-// snapshot restore, fixed-point early stop, store-loaded replay,
-// store-loaded tally — must reproduce the full Section 4.3 protocol
-// exactly, and a warm store must actually be consulted.
+// store-loaded replay, store-loaded tally — must reproduce the full
+// Section 4.3 protocol exactly, and a warm store must actually be
+// consulted.
 
 // diffCellsExact fails unless two cells match on every counter, stall
 // component, hardware rate and result bit. Floats compare as IEEE-754
@@ -39,123 +39,13 @@ func diffCellsExact(t *testing.T, name string, a, b Cell) {
 	}
 }
 
-// TestSnapshotRestoreMatchesDrain measures cells with the snapshot
-// layer on and off — first visits (fixed-point early stop) and forced
-// revisits (snapshot restore replacing the warm-up drains) — and
-// asserts byte-identical breakdowns throughout. Warmup of 3 gives the
-// fixed-point comparison real work on the first visit and the restore
-// three drains to skip on the second.
-func TestSnapshotRestoreMatchesDrain(t *testing.T) {
-	snapOpts := replayTestOptions()
-	snapOpts.Warmup = 3
-	plainOpts := snapOpts
-	plainOpts.Snapshot = false
-
-	snapEnv, err := NewEnv(snapOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapEnv.snaps == nil {
-		t.Fatal("snapshot env built without a snapshot memo")
-	}
-	plainEnv, err := NewEnv(plainOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plainEnv.snaps != nil {
-		t.Fatal("snapshot-disabled env still built a snapshot memo")
-	}
-
-	for _, q := range []QueryKind{SRS, IRS, SJ, GHJ} {
-		for _, s := range engine.Systems() {
-			if !ValidMicro(s, q) {
-				continue
-			}
-			name := s.String() + "/" + q.String()
-			a, err := snapEnv.Run(s, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := plainEnv.Run(s, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffCellsExact(t, name+" first", a, b)
-
-			// Clear the memos so the revisit goes back through measure:
-			// the snapshot env restores its memoized post-warm-up state
-			// and drains once, the plain env drains all Warmup+1 times.
-			snapEnv.memo = map[CellSpec]Cell{}
-			plainEnv.memo = map[CellSpec]Cell{}
-			a2, err := snapEnv.Run(s, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := plainEnv.Run(s, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffCellsExact(t, name+" revisit", a2, b2)
-			diffCellsExact(t, name+" revisit vs first", a2, a)
-		}
-	}
-	if len(snapEnv.snaps.m) == 0 {
-		t.Error("snapshot memo is empty — the restore path was never exercised")
-	}
-
-	// TPC-D: the fixed protocol (one warm pass, one measured pass).
-	a, err := snapEnv.RunTPCD(engine.SystemD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plainEnv.RunTPCD(engine.SystemD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffCellsExact(t, "D/TPC-D", a, b)
-	snapEnv.memo = map[CellSpec]Cell{}
-	plainEnv.memo = map[CellSpec]Cell{}
-	a2, err := snapEnv.RunTPCD(engine.SystemD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := plainEnv.RunTPCD(engine.SystemD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffCellsExact(t, "D/TPC-D revisit", a2, b2)
-
-	// TPC-C: the revisit restores the post-warm-slice state instead of
-	// draining the captured warm slice.
-	const txns = 60
-	ca, saStats, err := snapEnv.RunTPCC(engine.SystemC, txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, sbStats, err := plainEnv.RunTPCC(engine.SystemC, txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffCellsExact(t, "C/TPC-C", ca, cb)
-	if saStats != sbStats {
-		t.Errorf("TPC-C stats differ: %+v vs %+v", saStats, sbStats)
-	}
-	ca2, _, err := snapEnv.RunTPCC(engine.SystemC, txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb2, _, err := plainEnv.RunTPCC(engine.SystemC, txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffCellsExact(t, "C/TPC-C revisit", ca2, cb2)
-	diffCellsExact(t, "C/TPC-C revisit vs first", ca2, ca)
-}
-
 // TestStoreWarmHits runs the same small grid twice against one store
-// directory. The cold run populates it; the warm run must hit the
-// entry index (tallies short-circuit the simulation entirely) and
-// reproduce the cold run's cells exactly.
+// directory and pins the store traffic of each unit exactly. The cold
+// run writes one tally and one trace ref per spec, plus its trace; the
+// warm run answers every cell from its tally (short-circuiting the
+// simulation entirely) and reproduces the cold run's cells; a spec
+// measured on a new platform misses its tally, replays the stored
+// trace and adds only the new tally.
 func TestStoreWarmHits(t *testing.T) {
 	dir := t.TempDir()
 	opts := replayTestOptions()
@@ -164,36 +54,39 @@ func TestStoreWarmHits(t *testing.T) {
 		microCell(opts, engine.SystemB, IRS),
 		microCell(opts, engine.SystemD, SJ),
 	}
+	// measure runs specs against a fresh handle on dir, flushes it, and
+	// returns the results with the traffic they caused.
+	measure := func(specs []CellSpec) (*Results, tracestore.Stats) {
+		t.Helper()
+		store, err := tracestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := opts
+		run.Store = store
+		res, err := Measure(run, specs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return res, store.Stats()
+	}
+	n := len(specs)
+	want := func(phase string, got tracestore.Stats, entryHits, entryMisses, traceHits, written, added int) {
+		t.Helper()
+		if got.EntryHits != entryHits || got.EntryMisses != entryMisses || got.TraceHits != traceHits ||
+			got.TracesWritten != written || got.EntriesAdded != added {
+			t.Errorf("%s run: %+v, want entry hits=%d misses=%d, trace hits=%d written=%d, entries added=%d",
+				phase, got, entryHits, entryMisses, traceHits, written, added)
+		}
+	}
 
-	cold, err := tracestore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Store = cold
-	resCold, err := Measure(opts, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats().EntriesAdded == 0 {
-		t.Fatal("cold run added no store entries")
-	}
-
-	warm, err := tracestore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Store = warm
-	resWarm, err := Measure(opts, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := warm.Stats()
-	if st.EntryHits == 0 {
-		t.Errorf("warm run hit no store entries: %+v", st)
-	}
+	resCold, st := measure(specs)
+	want("cold", st, 0, 2*n, 0, n, 2*n)
+	resWarm, st := measure(specs)
+	want("warm", st, n, 0, 0, 0, 0)
 	for _, spec := range specs {
 		a, err := resCold.Get(spec)
 		if err != nil {
@@ -205,6 +98,11 @@ func TestStoreWarmHits(t *testing.T) {
 		}
 		diffCellsExact(t, spec.String(), b, a)
 	}
+
+	moved := specs[2]
+	moved.Config.L2SizeKB = 2 * opts.Config.L2SizeKB
+	_, st = measure([]CellSpec{moved})
+	want("new-platform", st, 1, 1, 1, 0, 1)
 }
 
 // TestStoreDirOptionFlushes pins the Options.StoreDir path: Measure
@@ -227,30 +125,6 @@ func TestStoreDirOptionFlushes(t *testing.T) {
 	reopened.Store = s
 	if _, ok := LookupTally(reopened, specs[0]); !ok {
 		t.Error("flushed store has no tally for the measured cell")
-	}
-}
-
-// TestSnapshotDisabledMatchesGoldens renders the full experiment grid
-// with the snapshot layer force-disabled and diffs it against the
-// goldens the snapshot-enabled default produced: the snapshot layer
-// must be invisible to every figure.
-func TestSnapshotDisabledMatchesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment grid in -short mode")
-	}
-	opts := goldenOptions()
-	opts.Snapshot = false
-	got := renderGolden(t, opts)
-	for _, e := range Experiments() {
-		t.Run(e.Name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(e.Name))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFiles with -update first): %v", err)
-			}
-			if got[e.Name] != string(want) {
-				t.Errorf("snapshot-disabled output differs from snapshot-enabled golden for %s", e.Name)
-			}
-		})
 	}
 }
 
@@ -416,8 +290,8 @@ func TestLookupTallyMatchesMeasure(t *testing.T) {
 // TestStoreHealsUndecodableEntries: an entry whose blob fails to decode
 // — bit rot inside a valid index.json, or a layout version this build
 // no longer reads — must not outlive the recompute. For each of the
-// three kinds of entry the protocol reads (tally, trace ref, snapshot),
-// an undecodable blob is planted on disk under the exact key; one
+// two kinds of entry the protocol reads (tally, trace ref), an
+// undecodable blob is planted on disk under the exact key; one
 // Measure must answer the right cell, quarantine the blob and stage the
 // good one in its place, and the flushed index must hold the blob a
 // fresh store holds, so the next process gets a tally hit. Under
@@ -426,10 +300,7 @@ func TestLookupTallyMatchesMeasure(t *testing.T) {
 func TestStoreHealsUndecodableEntries(t *testing.T) {
 	opts := replayTestOptions()
 	spec := microCell(opts, engine.SystemD, SRS)
-	unit, cfg := unitKey(opts, spec), opts.Config
-	storeKey := func(kind string, cfg *xeon.Config) string {
-		return tracestore.KeyHash(keyMaterial(kind, unit, opts.Scale, cfg, opts.Warmup))
-	}
+	traceKey := tracestore.KeyHash(keyMaterial("trace", unitKey(opts, spec), opts.Scale, nil, opts.Warmup))
 
 	refStore, err := tracestore.Open(t.TempDir())
 	if err != nil {
@@ -452,8 +323,7 @@ func TestStoreHealsUndecodableEntries(t *testing.T) {
 	}{
 		{"tally, bit rot", TallyKey(opts, spec), []byte("\x00rot")},
 		{"tally, old version", TallyKey(opts, spec), []byte(`{"v":0}`)},
-		{"trace ref", storeKey("trace", nil), []byte("\x00rot")},
-		{"snapshot", storeKey("snap", &cfg), []byte("\x00rot")},
+		{"trace ref", traceKey, []byte("\x00rot")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			good, ok := refStore.GetEntry(c.key)

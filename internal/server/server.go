@@ -72,9 +72,9 @@ type Config struct {
 	// cell spec default from here, so Opts fixes the dataset scale,
 	// warm-up protocol and base platform for every request.
 	Opts harness.Options
-	// Store, when non-nil, memoizes tallies, traces and snapshots
-	// across requests and restarts. The caller keeps ownership; Close
-	// flushes it.
+	// Store, when non-nil, memoizes tallies and traces across
+	// requests and restarts. The caller keeps ownership; Close flushes
+	// it.
 	Store *tracestore.Store
 	// Timeout is the per-request deadline and ceiling (0 =
 	// DefaultTimeout).

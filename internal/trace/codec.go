@@ -336,10 +336,10 @@ func putBlock(b []Event) {
 // returns the borrowed block to the free list.
 type recCursor struct {
 	r     *Recording
-	chunk int // next chunk index (raw chunks, or encoded then tail)
+	chunk int // next chunk index: encoded chunks, then the tail
 	dec   chunkDecoder
 	block []Event
-	buf   []Event // current decoded or raw view
+	buf   []Event // current decoded block or tail view
 	pos   int
 	inDec bool
 }
@@ -372,14 +372,6 @@ func (c *recCursor) next() (Event, bool) {
 				continue
 			}
 			c.inDec = false
-		}
-		if c.r.raw {
-			if c.chunk >= len(c.r.chunks) {
-				return Event{}, false
-			}
-			c.buf, c.pos = c.r.chunks[c.chunk], 0
-			c.chunk++
-			continue
 		}
 		if c.chunk < len(c.r.enc) {
 			c.dec.init(c.r.enc[c.chunk])

@@ -94,25 +94,39 @@ func TestCodecOverflowReleasesImmediately(t *testing.T) {
 	}
 }
 
-// TestCodecBytesAccounting pins Bytes/RawBytes: raw mode reports the
-// full arena, compressed mode the encoded chunks plus the raw tail.
+// TestCodecBytesAccounting pins Bytes/RawBytes against the input
+// stream: RawBytes is every event at EventBytes, Bytes the encoded
+// chunks plus the staging tail at full width — and both fill paths
+// (bulk append, per-event appendOne) account identically.
 func TestCodecBytesAccounting(t *testing.T) {
-	events := synthEvents(RecordChunkEvents + 100)
-	var comp, raw Recording
-	raw.SetRaw(true)
-	comp.append(events)
-	raw.append(events)
-	defer comp.Release()
-	defer raw.Release()
-	if raw.Bytes() != len(events)*EventBytes || raw.RawBytes() != raw.Bytes() {
-		t.Errorf("raw arena bytes %d, want %d", raw.Bytes(), len(events)*EventBytes)
+	const tail = 100
+	events := synthEvents(RecordChunkEvents + tail)
+	var bulk, single Recording
+	bulk.append(events)
+	for _, ev := range events {
+		single.appendOne(ev)
 	}
-	wantTail := 100 * EventBytes
-	if comp.Bytes() <= wantTail || comp.Bytes() >= raw.Bytes() {
-		t.Errorf("compressed bytes %d out of range (tail %d, raw %d)", comp.Bytes(), wantTail, raw.Bytes())
+	defer bulk.Release()
+	defer single.Release()
+	raw := len(events) * EventBytes
+	for name, r := range map[string]*Recording{"append": &bulk, "appendOne": &single} {
+		if r.RawBytes() != raw {
+			t.Errorf("%s: RawBytes %d, want %d", name, r.RawBytes(), raw)
+		}
+		enc := 0
+		for _, c := range r.enc {
+			enc += len(c)
+		}
+		if len(r.enc) != 1 || len(r.tail) != tail || r.Bytes() != enc+tail*EventBytes {
+			t.Errorf("%s: Bytes %d over %d encoded chunks and a %d-event tail, want %d encoded + %d tail",
+				name, r.Bytes(), len(r.enc), len(r.tail), enc, tail*EventBytes)
+		}
+		if r.Bytes() >= raw {
+			t.Errorf("%s: compressed bytes %d do not undercut the raw stream's %d", name, r.Bytes(), raw)
+		}
 	}
-	if comp.RawBytes() != raw.RawBytes() {
-		t.Errorf("RawBytes %d differs from raw arena %d", comp.RawBytes(), raw.RawBytes())
+	if bulk.Bytes() != single.Bytes() {
+		t.Errorf("fill paths account differently: append %d, appendOne %d", bulk.Bytes(), single.Bytes())
 	}
 }
 

@@ -25,10 +25,7 @@ import (
 // back to re-execution. Raw staging chunks and encoded buffers are
 // both drawn from shared free lists, so a worker measuring cells one
 // after another recycles the same arena instead of growing and
-// abandoning multi-hundred-megabyte slices per cell. SetRaw keeps the
-// PR3 uncompressed layout as a debugging/measurement reference; the
-// two representations drain identically (compress-smoke pins the
-// goldens across both).
+// abandoning multi-hundred-megabyte slices per cell.
 
 // RecordChunkEvents is the event capacity of one recording chunk:
 // 8192 events x 32 bytes = 256 KiB of staging, big enough to amortise
@@ -92,43 +89,25 @@ func putChunk(c []Event) {
 }
 
 // Recording is a captured event stream: an ordered sequence of events
-// held as columnar compressed chunks plus one raw staging tail (or,
-// with SetRaw, as the uncompressed fixed-size chunks of the PR3
-// arena). It is filled by a Recorder; once capture is complete it is
-// immutable and may be drained any number of times, including
-// concurrently read-only sharing within the goroutine that owns it
-// (drains mutate only the processor and a borrowed decode block,
-// never the recording).
+// held as columnar compressed chunks plus one raw staging tail. It is
+// filled by a Recorder; once capture is complete it is immutable and
+// may be drained any number of times, including concurrently
+// read-only sharing within the goroutine that owns it (drains mutate
+// only the processor and a borrowed decode block, never the
+// recording).
 type Recording struct {
-	raw    bool
-	enc    [][]byte  // encoded full chunks, RecordChunkEvents events each
-	tail   []Event   // staging chunk: the in-progress (or final partial) chunk
-	chunks [][]Event // raw-mode arena (SetRaw(true))
-	n      int
-}
-
-// SetRaw selects the uncompressed arena layout. It must be called
-// before the first event is appended; the switch exists so the
-// compressed and raw representations can be measured and diffed
-// against each other (compress-smoke, BenchmarkCompressedReplay).
-func (r *Recording) SetRaw(raw bool) {
-	if r.n > 0 {
-		panic("trace: SetRaw on a non-empty recording")
-	}
-	r.raw = raw
+	enc  [][]byte // encoded full chunks, RecordChunkEvents events each
+	tail []Event  // staging chunk: the in-progress (or final partial) chunk
+	n    int
 }
 
 // Len returns how many events the recording holds.
 func (r *Recording) Len() int { return r.n }
 
 // Bytes returns the recording's retained arena footprint: the encoded
-// chunk bytes plus the raw staging tail (or the whole raw arena in
-// uncompressed mode). This is the quantity the harness trace cache
-// budgets — compressed bytes, not event count.
+// chunk bytes plus the raw staging tail. This is the quantity the
+// harness trace cache budgets — compressed bytes, not event count.
 func (r *Recording) Bytes() int {
-	if r.raw {
-		return r.n * EventBytes
-	}
 	b := len(r.tail) * EventBytes
 	for _, c := range r.enc {
 		b += len(c)
@@ -152,10 +131,6 @@ func (r *Recording) encodeTail() {
 // it fills. Only the Recorder calls it; after capture the recording
 // never changes.
 func (r *Recording) append(events []Event) {
-	if r.raw {
-		r.appendRaw(events)
-		return
-	}
 	for len(events) > 0 {
 		if r.tail == nil {
 			r.tail = getChunk()
@@ -170,36 +145,9 @@ func (r *Recording) append(events []Event) {
 	}
 }
 
-// appendRaw is append for the uncompressed arena layout.
-func (r *Recording) appendRaw(events []Event) {
-	for len(events) > 0 {
-		if len(r.chunks) == 0 {
-			r.chunks = append(r.chunks, getChunk())
-		}
-		last := &r.chunks[len(r.chunks)-1]
-		if len(*last) == cap(*last) {
-			r.chunks = append(r.chunks, getChunk())
-			last = &r.chunks[len(r.chunks)-1]
-		}
-		n := copy((*last)[len(*last):cap(*last)], events)
-		*last = (*last)[:len(*last)+n]
-		events = events[n:]
-		r.n += n
-	}
-}
-
 // appendOne records a single event (the per-event Processor path of a
 // Recorder whose sink does not batch).
 func (r *Recording) appendOne(ev Event) {
-	if r.raw {
-		if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1]) == cap(r.chunks[len(r.chunks)-1]) {
-			r.chunks = append(r.chunks, getChunk())
-		}
-		last := &r.chunks[len(r.chunks)-1]
-		*last = append(*last, ev)
-		r.n++
-		return
-	}
 	if r.tail == nil {
 		r.tail = getChunk()
 	}
@@ -214,16 +162,9 @@ func (r *Recording) appendOne(ev Event) {
 // captured: the replay path of a warm-up or measured run. Compressed
 // chunks decode one host-L1-resident block at a time straight into
 // ProcessBatch — the decode fuses into the single-pass drain, and the
-// raw event array is never materialized. The raw staging tail (and
-// the whole arena in uncompressed mode) goes straight in with zero
-// copying.
+// raw event array is never materialized. The raw staging tail goes
+// straight in with zero copying.
 func (r *Recording) Drain(p BatchProcessor) {
-	if r.raw {
-		for _, c := range r.chunks {
-			p.ProcessBatch(c)
-		}
-		return
-	}
 	if len(r.enc) > 0 {
 		block := getBlock()
 		var d chunkDecoder
@@ -248,12 +189,6 @@ func (r *Recording) Drain(p BatchProcessor) {
 // time — the reference path, for sinks that do not batch. Compressed
 // chunks decode through the same fused block path as Drain.
 func (r *Recording) Replay(p Processor) {
-	if r.raw {
-		for _, c := range r.chunks {
-			Replay(p, c)
-		}
-		return
-	}
 	if len(r.enc) > 0 {
 		block := getBlock()
 		var d chunkDecoder
@@ -286,8 +221,7 @@ func (r *Recording) DrainMulti(ps ...BatchProcessor) {
 }
 
 // Equal reports whether two recordings hold the same event sequence,
-// independent of how the events landed in chunks and of whether
-// either side is compressed.
+// independent of how the events landed in chunks.
 func (r *Recording) Equal(o *Recording) bool {
 	if r.n != o.n {
 		return false
@@ -317,10 +251,6 @@ func (r *Recording) Equal(o *Recording) bool {
 // overflows its cap, so an abandoned capture's chunks recycle
 // immediately instead of riding along until cache eviction.
 func (r *Recording) Release() {
-	for _, c := range r.chunks {
-		putChunk(c)
-	}
-	r.chunks = r.chunks[:0]
 	for _, b := range r.enc {
 		putEncBuf(b)
 	}
@@ -359,10 +289,6 @@ func NewRecorder(sink Processor, maxEvents int) *Recorder {
 	r.batch, _ = sink.(BatchProcessor)
 	return r
 }
-
-// SetRawArena switches the capture to the uncompressed arena layout
-// (see Recording.SetRaw). Call before any event flows past.
-func (r *Recorder) SetRawArena(raw bool) { r.rec.SetRaw(raw) }
 
 // Recording returns the captured stream, or nil if the cap was
 // exceeded and the capture abandoned. The recording is only complete

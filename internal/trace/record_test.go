@@ -148,8 +148,8 @@ func TestRecorderOverflowFallsBack(t *testing.T) {
 }
 
 // TestRecordingEqual pins Equal across different fill paths (bulk
-// append vs per-event) and across the compressed and raw arena
-// layouts.
+// append vs per-event) and across chunk layouts: a wire-loaded copy
+// holds its final partial chunk encoded where a capture stages it raw.
 func TestRecordingEqual(t *testing.T) {
 	events := synthEvents(RecordChunkEvents + 100)
 	var a, b Recording
@@ -160,11 +160,16 @@ func TestRecordingEqual(t *testing.T) {
 	if !a.Equal(&b) || !b.Equal(&a) {
 		t.Error("equal streams with different fill paths must compare equal")
 	}
-	var raw Recording
-	raw.SetRaw(true)
-	raw.append(events)
-	if !a.Equal(&raw) || !raw.Equal(&a) {
-		t.Error("compressed and raw layouts of one stream must compare equal")
+	loaded, err := UnmarshalWire(a.MarshalWire(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.tail) != 0 || len(loaded.enc) != 2 {
+		t.Fatalf("wire-loaded copy holds %d encoded chunks and a %d-event tail, want 2 and none",
+			len(loaded.enc), len(loaded.tail))
+	}
+	if !a.Equal(loaded) || !loaded.Equal(&a) {
+		t.Error("staged-tail and encoded-tail layouts of one stream must compare equal")
 	}
 	b.appendOne(Event{Kind: EvRecordProcessed})
 	if a.Equal(&b) || b.Equal(&a) {
@@ -180,7 +185,7 @@ func TestRecordingEqual(t *testing.T) {
 	a.Release()
 	b.Release()
 	c.Release()
-	raw.Release()
+	loaded.Release()
 	if a.Len() != 0 {
 		t.Error("Release must empty the recording")
 	}

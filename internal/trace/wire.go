@@ -33,25 +33,14 @@ const (
 
 // MarshalWire appends the recording's framed wire form to dst and
 // returns it: uvarint event count, uvarint chunk count, then each
-// chunk as uvarint length + encoded bytes. Raw-arena recordings and
-// the staging tail are encoded on the fly, so the wire form is always
-// the columnar layout regardless of how the recording is held in
-// memory.
+// chunk as uvarint length + encoded bytes. The staging tail is
+// encoded on the fly, so the wire form is the columnar layout
+// throughout.
 func (r *Recording) MarshalWire(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.n))
 	appendEnc := func(dst []byte, c []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(c)))
 		return append(dst, c...)
-	}
-	if r.raw {
-		dst = binary.AppendUvarint(dst, uint64(len(r.chunks)))
-		buf := getEncBuf()
-		for _, c := range r.chunks {
-			buf = encodeChunk(buf[:0], c)
-			dst = appendEnc(dst, buf)
-		}
-		putEncBuf(buf)
-		return dst
 	}
 	nChunks := len(r.enc)
 	if len(r.tail) > 0 {

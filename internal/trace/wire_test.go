@@ -41,22 +41,37 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRawArenaMatchesCompressed: the wire form is canonical — a
-// raw-arena capture of the same stream marshals to the same bytes as
-// the compressed capture.
-func TestWireRawArenaMatchesCompressed(t *testing.T) {
+// TestWireCanonicalAcrossFillPaths: the wire form is canonical — a
+// stream captured in bulk (append) and event by event (appendOne)
+// marshals to the same bytes, and those bytes load back to exactly the
+// input events.
+func TestWireCanonicalAcrossFillPaths(t *testing.T) {
 	events := synthEvents(RecordChunkEvents + 513)
-	var comp, raw Recording
-	raw.SetRaw(true)
-	comp.append(events)
-	raw.append(events)
-	w1 := comp.MarshalWire(nil)
-	w2 := raw.MarshalWire(nil)
-	if !bytes.Equal(w1, w2) {
-		t.Fatal("raw-arena wire bytes differ from compressed wire bytes")
+	var bulk, single Recording
+	bulk.append(events)
+	for _, ev := range events {
+		single.appendOne(ev)
 	}
-	comp.Release()
-	raw.Release()
+	defer bulk.Release()
+	defer single.Release()
+	wire := bulk.MarshalWire(nil)
+	if !bytes.Equal(single.MarshalWire(nil), wire) {
+		t.Fatal("per-event capture's wire bytes differ from the bulk capture's")
+	}
+	loaded, err := UnmarshalWire(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Release()
+	got := collectEvents(loaded)
+	if len(got) != len(events) {
+		t.Fatalf("wire bytes load back %d events, want %d", len(got), len(events))
+	}
+	for i := range got {
+		if got[i] != events[i] {
+			t.Fatalf("event %d altered: got %+v want %+v", i, got[i], events[i])
+		}
+	}
 }
 
 // TestWireUnmarshalCorrupt feeds truncations and bit flips of a valid

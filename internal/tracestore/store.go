@@ -1,10 +1,10 @@
 // Package tracestore is the persistent half of the record-once/
 // replay-many discipline: a content-addressed on-disk store of
 // compressed recordings plus a small key→blob index for memoized cell
-// tallies and post-warm-up pipeline snapshots. It is what lets a grid
-// run begin hot — a process restart (or a CI run restoring a cached
-// directory) replays and memoizes from disk instead of re-executing
-// every cell from zero.
+// tallies and trace references. It is what lets a grid run begin hot
+// — a process restart (or a CI run restoring a cached directory)
+// replays and memoizes from disk instead of re-executing every cell
+// from zero.
 //
 // Layout under the store directory:
 //
@@ -20,11 +20,11 @@
 //	                       count and stream-schema token).
 //
 // The store never interprets entry blobs; the harness serializes its
-// own tallies and snapshots. Loaded recordings draw their chunk
-// buffers from the shared trace free lists, so a warm start streams
-// into the same arenas capture uses. Every load path validates before
-// trusting: corrupt or truncated files return errors (never panic)
-// and leak nothing, which FuzzStoreLoad pins.
+// own tallies and trace references. Loaded recordings draw their
+// chunk buffers from the shared trace free lists, so a warm start
+// streams into the same arenas capture uses. Every load path
+// validates before trusting: corrupt or truncated files return errors
+// (never panic) and leak nothing, which FuzzStoreLoad pins.
 //
 // Because the store is a cache, it degrades instead of dying:
 //

@@ -1,10 +1,6 @@
 package xeon
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // State is a snapshot of a Pipeline's complete simulated machine
 // state: the packed way words of every cache and TLB, the BTB's
@@ -78,18 +74,6 @@ func (p *Pipeline) Snapshot(dst *State) *State {
 	return dst
 }
 
-// checkGeometry verifies the snapshot's structure sizes match the
-// pipeline's configuration, without mutating anything.
-func (p *Pipeline) checkGeometry(s *State) error {
-	if len(s.l1i) != len(p.l1i.ents) || len(s.l1d) != len(p.l1d.ents) ||
-		len(s.l2) != len(p.l2.ents) ||
-		len(s.itlb) != len(p.itlb.c.ents) || len(s.dtlb) != len(p.dtlb.c.ents) ||
-		len(s.btbEnts) != len(p.bp.ents) || len(s.btbPattern) != len(p.bp.pattern) {
-		return fmt.Errorf("xeon: snapshot geometry does not match pipeline configuration")
-	}
-	return nil
-}
-
 // Restore overwrites the pipeline's simulated state with the
 // snapshot. The measurement accumulators are left alone (callers
 // running the warm-cache protocol ResetStats immediately after).
@@ -100,8 +84,11 @@ func (p *Pipeline) checkGeometry(s *State) error {
 // before anything is copied — a failed Restore leaves the pipeline
 // untouched.
 func (p *Pipeline) Restore(s *State) error {
-	if err := p.checkGeometry(s); err != nil {
-		return err
+	if len(s.l1i) != len(p.l1i.ents) || len(s.l1d) != len(p.l1d.ents) ||
+		len(s.l2) != len(p.l2.ents) ||
+		len(s.itlb) != len(p.itlb.c.ents) || len(s.dtlb) != len(p.dtlb.c.ents) ||
+		len(s.btbEnts) != len(p.bp.ents) || len(s.btbPattern) != len(p.bp.pattern) {
+		return fmt.Errorf("xeon: snapshot geometry does not match pipeline configuration")
 	}
 	copy(p.l1i.ents, s.l1i)
 	copy(p.l1d.ents, s.l1d)
@@ -137,10 +124,8 @@ func wordsEqual(a, b []uint64) bool {
 
 // Equal reports whether two snapshots describe the same simulated
 // state: identical structure contents and identical forward dynamics
-// (fetch-page memo, overlap window, interrupt phase). When the state
-// after warm-up pass i equals the state after pass i-1, every further
-// pass of the same stream is a fixed point — the harness uses this to
-// stop warm-up early.
+// (fetch-page memo, overlap window, interrupt phase). Two pipelines
+// with equal states evolve identically under the same stream.
 func (s *State) Equal(o *State) bool {
 	if s == nil || o == nil {
 		return s == o
@@ -160,175 +145,6 @@ func (s *State) Equal(o *State) bool {
 	}
 	for i, v := range s.btbPattern {
 		if v != o.btbPattern[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// stateWireVersion tags the MarshalBinary layout.
-const stateWireVersion = 1
-
-// stateMaxWords bounds each serialized section so a corrupt length
-// prefix cannot drive a huge allocation: 1<<24 uint64 words is a
-// 128 MiB cache, far beyond any valid configuration.
-const stateMaxWords = 1 << 24
-
-// MarshalBinary serializes the snapshot: a version byte, seven
-// varint-free fixed u32 section lengths, the scalar block, then the
-// raw little-endian section payloads. The layout is deterministic, so
-// identical states marshal to identical bytes.
-func (s *State) MarshalBinary() ([]byte, error) {
-	sections := [][]uint64{s.l1i, s.l1d, s.l2, s.itlb, s.dtlb, s.btbEnts}
-	n := 1 + 7*4 + 8 + 1 + 8 + 8 + 8 + len(s.btbPattern)
-	for _, sec := range sections {
-		n += 8 * len(sec)
-	}
-	out := make([]byte, 0, n)
-	out = append(out, stateWireVersion)
-	for _, sec := range sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec)))
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.btbPattern)))
-	out = binary.LittleEndian.AppendUint64(out, s.lastIPage)
-	out = append(out, byte(b2u(s.haveIPage)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(s.refsSinceL2DMiss)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(s.inFlight)))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.interruptPhase))
-	for _, sec := range sections {
-		for _, w := range sec {
-			out = binary.LittleEndian.AppendUint64(out, w)
-		}
-	}
-	out = append(out, s.btbPattern...)
-	return out, nil
-}
-
-// UnmarshalBinary parses a MarshalBinary payload, validating every
-// length before allocating. Corrupt or truncated input returns an
-// error; it never panics.
-func (s *State) UnmarshalBinary(data []byte) error {
-	const header = 1 + 7*4 + 8 + 1 + 8 + 8 + 8
-	if len(data) < header {
-		return fmt.Errorf("xeon: snapshot truncated: %d bytes", len(data))
-	}
-	if data[0] != stateWireVersion {
-		return fmt.Errorf("xeon: snapshot version %d unsupported", data[0])
-	}
-	var lens [7]int
-	off := 1
-	total := 0
-	for i := range lens {
-		lens[i] = int(binary.LittleEndian.Uint32(data[off:]))
-		if lens[i] > stateMaxWords {
-			return fmt.Errorf("xeon: snapshot section %d length %d exceeds limit", i, lens[i])
-		}
-		total += lens[i]
-		off += 4
-	}
-	s.lastIPage = binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	switch data[off] {
-	case 0:
-		s.haveIPage = false
-	case 1:
-		s.haveIPage = true
-	default:
-		return fmt.Errorf("xeon: snapshot haveIPage byte %d invalid", data[off])
-	}
-	off++
-	s.refsSinceL2DMiss = int(int64(binary.LittleEndian.Uint64(data[off:])))
-	off += 8
-	s.inFlight = int(int64(binary.LittleEndian.Uint64(data[off:])))
-	off += 8
-	s.interruptPhase = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-	off += 8
-	want := off + 8*(total-lens[6]) + lens[6]
-	if len(data) != want {
-		return fmt.Errorf("xeon: snapshot length %d, want %d", len(data), want)
-	}
-	secs := [6]*[]uint64{&s.l1i, &s.l1d, &s.l2, &s.itlb, &s.dtlb, &s.btbEnts}
-	for i, dst := range secs {
-		sec := make([]uint64, lens[i])
-		for j := range sec {
-			sec[j] = binary.LittleEndian.Uint64(data[off:])
-			off += 8
-		}
-		*dst = sec
-	}
-	s.btbPattern = make([]uint8, lens[6])
-	copy(s.btbPattern, data[off:])
-	return nil
-}
-
-// MultiState is a snapshot of every pipeline in a MultiPipeline, in
-// gang order.
-type MultiState struct {
-	states []*State
-}
-
-// K returns the number of per-pipeline states.
-func (s *MultiState) K() int { return len(s.states) }
-
-// At returns the i-th pipeline's state (shared, not copied), so the
-// harness can file gang snapshots into the same per-config memo the
-// solo path uses.
-func (s *MultiState) At(i int) *State { return s.states[i] }
-
-// Snapshot captures every pipeline's state into dst, reusing its
-// per-pipeline States when the gang width matches.
-func (m *MultiPipeline) Snapshot(dst *MultiState) *MultiState {
-	if dst == nil || len(dst.states) != len(m.pipes) {
-		dst = &MultiState{states: make([]*State, len(m.pipes))}
-	}
-	for i, p := range m.pipes {
-		dst.states[i] = p.Snapshot(dst.states[i])
-	}
-	return dst
-}
-
-// Restore restores every pipeline from the matching per-pipeline
-// state. The gang widths must agree. Like RestoreStates, the whole
-// gang is geometry-checked before any pipeline is touched.
-func (m *MultiPipeline) Restore(s *MultiState) error {
-	if len(s.states) != len(m.pipes) {
-		return fmt.Errorf("xeon: snapshot gang width %d, pipeline gang width %d", len(s.states), len(m.pipes))
-	}
-	return m.RestoreStates(s.states)
-}
-
-// RestoreStates restores every pipeline from an explicit per-pipeline
-// state slice — the gang path's way to reuse solo-keyed snapshots.
-// All-or-nothing: every state's geometry is checked against its
-// pipeline before any pipeline is mutated, so a failure never leaves
-// the gang half-restored.
-func (m *MultiPipeline) RestoreStates(states []*State) error {
-	if len(states) != len(m.pipes) {
-		return fmt.Errorf("xeon: %d states for gang width %d", len(states), len(m.pipes))
-	}
-	for i, p := range m.pipes {
-		if err := p.checkGeometry(states[i]); err != nil {
-			return err
-		}
-	}
-	for i, p := range m.pipes {
-		if err := p.Restore(states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Equal reports per-pipeline state equality across the whole gang.
-func (s *MultiState) Equal(o *MultiState) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if len(s.states) != len(o.states) {
-		return false
-	}
-	for i, st := range s.states {
-		if !st.Equal(o.states[i]) {
 			return false
 		}
 	}

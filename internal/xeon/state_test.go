@@ -1,9 +1,6 @@
 package xeon
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestSnapshotRestoreRoundTrip pins the snapshot contract: a fresh
 // pipeline restored from a warm snapshot, measured over the same
@@ -28,8 +25,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	assertPipesEqual(t, "restored", restored, orig)
 }
 
-// TestSnapshotEqual pins the fixed-point detector: equal states
-// compare equal, and draining anything breaks equality.
+// TestSnapshotEqual pins State.Equal: equal states compare equal, and
+// draining anything breaks equality.
 func TestSnapshotEqual(t *testing.T) {
 	p := New(DefaultConfig())
 	p.ProcessBatch(synthBatch(1 << 12))
@@ -50,98 +47,6 @@ func TestSnapshotEqual(t *testing.T) {
 	}
 }
 
-// TestSnapshotFixedPoint drains a short stream repeatedly and checks
-// that once two successive post-drain states are equal, the next
-// drain's state is equal too — the property the harness's early-stop
-// relies on.
-func TestSnapshotFixedPoint(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InterruptCycles = 0 // short synthetic stream: keep phase out of the way
-	events := synthBatch(1 << 14)
-	p := New(cfg)
-	var prev, cur *State
-	reached := -1
-	for i := 0; i < 12; i++ {
-		p.ProcessBatch(events)
-		cur = p.Snapshot(cur)
-		if prev != nil && cur.Equal(prev) {
-			reached = i
-			break
-		}
-		prev, cur = cur, prev
-	}
-	if reached < 0 {
-		t.Skip("stream did not reach a fixed point in 12 passes")
-	}
-	p.ProcessBatch(events)
-	next := p.Snapshot(nil)
-	if !next.Equal(cur) {
-		t.Fatalf("state moved after fixed point at pass %d", reached)
-	}
-}
-
-// TestStateMarshalRoundTrip pins the binary codec: marshal/unmarshal
-// reproduces an Equal state that restores into a working pipeline.
-func TestStateMarshalRoundTrip(t *testing.T) {
-	orig := New(DefaultConfig())
-	orig.ProcessBatch(synthBatch(1 << 15))
-	snap := orig.Snapshot(nil)
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var back State
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	if !snap.Equal(&back) {
-		t.Fatal("state differs after marshal round trip")
-	}
-	measured := synthBatch(1 << 14)
-	orig.ResetStats()
-	orig.ProcessBatch(measured)
-	restored := New(DefaultConfig())
-	if err := restored.Restore(&back); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	restored.ResetStats()
-	restored.ProcessBatch(measured)
-	assertPipesEqual(t, "unmarshaled", restored, orig)
-}
-
-// TestStateUnmarshalCorrupt feeds truncated and bit-flipped payloads
-// through UnmarshalBinary: every one must error, none may panic.
-func TestStateUnmarshalCorrupt(t *testing.T) {
-	p := New(DefaultConfig())
-	p.ProcessBatch(synthBatch(1 << 10))
-	data, err := p.Snapshot(nil).MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	for _, cut := range []int{0, 1, 10, 40, len(data) / 2, len(data) - 1} {
-		var s State
-		if err := s.UnmarshalBinary(data[:cut]); err == nil {
-			t.Errorf("truncation to %d bytes: no error", cut)
-		}
-	}
-	// Offsets land in validated fields: version, two section lengths,
-	// and the haveIPage flag (lastIPage and the like are arbitrary
-	// data, so flips there are indistinguishable from a real state).
-	for _, off := range []int{0, 2, 6, 37} {
-		bad := append([]byte(nil), data...)
-		bad[off] ^= 0xFF
-		var s State
-		if err := s.UnmarshalBinary(bad); err == nil {
-			t.Errorf("bit flip at %d: no error", off)
-		}
-	}
-	extra := append(append([]byte(nil), data...), 0)
-	var s State
-	if err := s.UnmarshalBinary(extra); err == nil {
-		t.Error("trailing byte: no error")
-	}
-}
-
 // TestRestoreGeometryMismatch: a snapshot from one configuration must
 // refuse to restore into a pipeline with different structure sizes.
 func TestRestoreGeometryMismatch(t *testing.T) {
@@ -151,47 +56,5 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	snap := New(small).Snapshot(nil)
 	if err := New(big).Restore(snap); err == nil {
 		t.Fatal("restore into mismatched geometry succeeded")
-	}
-}
-
-// TestMultiSnapshotRestore pins the gang variant: restoring a
-// MultiPipeline from a MultiState (and from the per-pipe states via
-// RestoreStates) matches the solo warm protocol per configuration.
-func TestMultiSnapshotRestore(t *testing.T) {
-	cfgs := multiTestConfigs()
-	warm := synthBatch(1 << 16)
-	measured := synthBatch(1 << 15)
-
-	orig := NewMulti(cfgs)
-	orig.ProcessBatch(warm)
-	snap := orig.Snapshot(nil)
-	if !snap.Equal(orig.Snapshot(nil)) {
-		t.Fatal("repeated gang snapshots compare unequal")
-	}
-	orig.ResetStats()
-	orig.ProcessBatch(measured)
-
-	restored := NewMulti(cfgs)
-	if err := restored.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	restored.ResetStats()
-	restored.ProcessBatch(measured)
-	for i := range cfgs {
-		assertPipesEqual(t, fmt.Sprintf("config %d", i), restored.Pipe(i), orig.Pipe(i))
-	}
-
-	states := make([]*State, snap.K())
-	for i := range states {
-		states[i] = snap.At(i)
-	}
-	again := NewMulti(cfgs)
-	if err := again.RestoreStates(states); err != nil {
-		t.Fatalf("RestoreStates: %v", err)
-	}
-	again.ResetStats()
-	again.ProcessBatch(measured)
-	for i := range cfgs {
-		assertPipesEqual(t, fmt.Sprintf("states config %d", i), again.Pipe(i), orig.Pipe(i))
 	}
 }
