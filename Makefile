@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test short race bench batch-smoke replay-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check cover lint fmt golden profile profile-gang bench-json bench-compare ci
+.PHONY: build test short race bench batch-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check cover lint fmt golden profile profile-gang bench-json bench-compare ci
 
 build:
 	$(GO) build ./...
@@ -44,19 +44,12 @@ bench:
 batch-smoke:
 	$(GO) test -count=1 -run 'TestGoldenFiles|TestBatchedMatchesReferenceSubset' ./internal/harness
 
-# The replay-equivalence smoke: renders the experiment grid with
-# recording/replay force-disabled (every run re-executes the engine)
-# and diffs it against the goldens. Fails if replay changes any
-# figure. The replay-enabled default is TestGoldenFiles, which
-# batch-smoke already renders.
-replay-smoke:
-	$(GO) test -count=1 -run 'TestReplayDisabledMatchesGoldens' ./internal/harness
-
 # The gang-equivalence smoke: a multi-platform grid measured as gangs
 # and with every cell its own unit (a gang of one) must agree counter
-# for counter, an overflowing gang must still execute the workload
-# once per pass for all of its platforms, and gangs of one and three
-# must match the straight-line Section 4.3 reference.
+# for counter, a gang must execute the workload once per pass for
+# all of its platforms, and gangs of one and three must match the
+# straight-line Section 4.3 reference, the gang of three replaying
+# the gang of one's stored trace wherever the stream fits the cap.
 gang-smoke:
 	$(GO) test -count=1 -run 'TestGangMatchesSequential|TestGangUsesOneExecution|TestProtocolMatchesReference' ./internal/harness
 
@@ -65,8 +58,8 @@ gang-smoke:
 # index-probe join) rendered against their goldens on their own small
 # grid, plus the result cross-checks against their reference
 # operators. Cheap enough for every push; the nightly full grid
-# additionally diffs the scenario cells across the unbatched /
-# replay-off paths.
+# additionally diffs the scenario cells across the unbatched and
+# store cold/warm paths.
 scenario-smoke:
 	$(GO) test -count=1 -run 'TestScenarioGoldens|TestScenarioResultsConsistent|TestScenarioSystemASkipsBRS' ./internal/harness
 
@@ -86,7 +79,8 @@ op-smoke:
 # another scale or TPC-D record size must never answer; TallyKey names
 # the entry the protocol writes, read back bit-identical by
 # LookupTally), the self-healing test (an undecodable tally or trace
-# ref is replaced by the recompute), then the real CLI run twice against
+# ref — or a trace ref that cannot be replayed — is replaced by the
+# recompute), then the real CLI run twice against
 # one store directory —
 # stdout must be byte-identical cold vs warm, and the warm run's
 # stderr stats line must report nonzero entry hits (proof the second
@@ -137,19 +131,18 @@ profile-gang:
 	$(GO) test -bench='BenchmarkGangSweep' -benchtime=1x -run='^$$' -cpuprofile gang.pprof .
 
 # Machine-readable perf record: the grid benchmarks (serial, parallel
-# at 1/2/max workers with the real counts reported, replay-disabled),
-# the gang-vs-sequential platform sweep, the replay-vs-execute and
-# compressed-vs-raw-replay comparisons (the latter carries the
-# measured compression ratio), a raw TPC-D pass and the drain
-# microbenchmarks, written to BENCH.json for trajectory tracking
-# (committed as BENCH_PR<n>.json when a PR re-baselines). The grid
-# benchmarks build with the committed default.pgo profile — the
-# shipped configuration — so the record measures what a PGO build
-# delivers. Each step is its own recipe line so a failing benchmark
-# run fails the target instead of producing a silently incomplete
-# record.
+# at 1/2/max workers with the real counts reported, store cold/warm),
+# the gang-vs-sequential platform sweep, the compressed-vs-raw replay
+# comparison (it carries the measured compression ratio), a raw TPC-D
+# pass and the drain microbenchmarks, written to BENCH.json for
+# trajectory tracking (committed as BENCH_PR<n>.json when a PR
+# re-baselines). The grid benchmarks build with the committed
+# default.pgo profile — the shipped configuration — so the record
+# measures what a PGO build delivers. Each step is its own recipe
+# line so a failing benchmark run fails the target instead of
+# producing a silently incomplete record.
 bench-json:
-	$(GO) test -pgo=default.pgo -bench='BenchmarkGridSerial$$|BenchmarkGridSerialNoReplay$$|BenchmarkGridParallel$$|BenchmarkGridWarmStart$$|BenchmarkReplayVsExecute|BenchmarkCompressedReplay|BenchmarkGangSweep$$|BenchmarkTPCDPass$$' \
+	$(GO) test -pgo=default.pgo -bench='BenchmarkGridSerial$$|BenchmarkGridParallel$$|BenchmarkGridWarmStart$$|BenchmarkCompressedReplay|BenchmarkGangSweep$$|BenchmarkTPCDPass$$' \
 		-benchtime=1x -benchmem -run='^$$' . > bench-raw.txt
 	$(GO) test -bench='BenchmarkProcessBatch$$|BenchmarkCompressedDrain$$' -benchtime=3x -benchmem -run='^$$' ./internal/xeon >> bench-raw.txt
 	$(GO) run ./cmd/benchjson < bench-raw.txt > BENCH.json
@@ -159,7 +152,7 @@ bench-json:
 # fails if grid time in the fresh BENCH.json regressed >10% against
 # the committed PR record.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR8.json BENCH.json
+	$(GO) run ./cmd/benchjson -compare BENCH_PR27.json BENCH.json
 
 # Regenerate the golden files after an intentional output change.
 # (The package path precedes -update: go test stops parsing at the
@@ -175,4 +168,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build race bench batch-smoke replay-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check
+ci: lint build race bench batch-smoke gang-smoke scenario-smoke op-smoke store-smoke serve-smoke docs-check

@@ -273,8 +273,8 @@ func gangSweepGrid(opts harness.Options) []harness.CellSpec {
 // BenchmarkGangSweep measures a three-platform sweep through the gang
 // drain (each cell's workload runs once, all platforms drain the one
 // stream) against the sequential path (each spec its own unit on one
-// environment, so every platform re-runs or re-reads the stream). The
-// ratio is what the multi-config gang buys.
+// environment, so every platform re-runs the stream). The ratio is
+// what the multi-config gang buys.
 func BenchmarkGangSweep(b *testing.B) {
 	opts := benchOptions()
 	specs := gangSweepGrid(opts)
@@ -315,21 +315,6 @@ func BenchmarkGridSerialUnbatched(b *testing.B) {
 	}
 }
 
-// BenchmarkGridSerialNoReplay runs the full grid with recording
-// disabled, so every warm-up and measured run re-executes the engine:
-// the replay-off reference. Serial vs this is the speedup the
-// record-once/replay-many engine buys; the outputs are byte-identical
-// (TestReplayDisabledMatchesGoldens).
-func BenchmarkGridSerialNoReplay(b *testing.B) {
-	opts := benchOptions()
-	opts.MaxRecordedEvents = -1
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunExperiments(opts, harness.Experiments(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGridWarmStart is the persistent warm-start record: the
 // cold arm runs the full serial grid against a fresh store directory
 // every iteration (measuring the populate cost on top of the
@@ -362,49 +347,6 @@ func BenchmarkGridWarmStart(b *testing.B) {
 	})
 }
 
-// BenchmarkReplayVsExecute isolates what the record-once/replay-many
-// engine buys on a cache revisit: the execute arm rebuilds and runs
-// the TPC-C mix every iteration (recording disabled); the replay arm
-// primes the per-worker trace cache once, then every iteration replays
-// the captured warm-up and measured phases into a fresh pipeline —
-// no database build, no engine execution, no event re-emission.
-func BenchmarkReplayVsExecute(b *testing.B) {
-	const txns = 300
-	b.Run("execute", func(b *testing.B) {
-		opts := benchOptions()
-		opts.MaxRecordedEvents = -1
-		env, err := harness.NewEnv(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := env.RunTPCC(engine.SystemC, txns); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("replay", func(b *testing.B) {
-		opts := benchOptions()
-		// The TPC-C(300) capture is ~10M events; give the cache room.
-		opts.MaxRecordedEvents = 16 << 20
-		env, err := harness.NewEnv(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := env.RunTPCC(engine.SystemC, txns); err != nil {
-			b.Fatal(err) // prime the capture
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := env.RunTPCC(engine.SystemC, txns); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkCompressedReplay is the compression-ratio record: it
 // captures the full TPC-C measured mix once and replays it into the
 // simulator two ways — from the columnar-compressed recording, and
@@ -413,10 +355,8 @@ func BenchmarkReplayVsExecute(b *testing.B) {
 // reference. The arena_mb/raw_mb/ratio metrics are the measured size
 // trade on a real engine stream (the acceptance bar is >= 4x), and
 // compressed-vs-raw ns/op is what the fused block decode costs on top
-// of the same ProcessBatch hot loop. Together with
-// BenchmarkReplayVsExecute (replay vs re-execution of the same mix)
-// this locates the DRAM-vs-recompute crossover behind
-// harness.DefaultMaxRecordedEvents; docs/PERF.md quotes both.
+// of the same ProcessBatch hot loop: the price a stored-trace hit pays
+// per event, which docs/PERF.md compares against re-execution.
 func BenchmarkCompressedReplay(b *testing.B) {
 	const txns = 300
 	for _, mode := range []struct {

@@ -39,17 +39,16 @@ type Record struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// gateBenchmarks are the series the -compare gate checks: the grid
-// regenerating every figure is the product's wall-clock, serial and
-// replay-off (the two stable single-iteration series the record has
-// carried since PR3 — the parallel and gang variants ride the same
-// drain, and the micro series are too noisy at -benchtime=1x to gate
-// on); the warm-start pair (cold store populate vs warm store load)
-// and the compressed-vs-raw replay pair, the two optimization records
-// whose regressions would silently erase their subsystems' wins.
+// gateBenchmarks are the series the -compare gate checks: the serial
+// grid regenerating every figure is the product's wall-clock (the
+// stable single-iteration series the record has carried since PR3 —
+// the parallel and gang variants ride the same drain, and the micro
+// series are too noisy at -benchtime=1x to gate on); the warm-start
+// pair (cold store populate vs warm store load) and the
+// compressed-vs-raw replay pair, the two optimization records whose
+// regressions would silently erase their subsystems' wins.
 var gateBenchmarks = []string{
 	"BenchmarkGridSerial",
-	"BenchmarkGridSerialNoReplay",
 	"BenchmarkGridWarmStart/cold",
 	"BenchmarkGridWarmStart/warm",
 	"BenchmarkCompressedReplay/compressed",
@@ -135,6 +134,18 @@ func compareRecords(oldPath, newPath string, threshold float64) error {
 	return nil
 }
 
+// seriesName strips the "-<GOMAXPROCS>" suffix go test appends to
+// every benchmark name on a multi-CPU host, so records taken on hosts
+// of any width name the same series and the gate finds them.
+func seriesName(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
 // convert is the original mode: bench text on stdin, JSON on stdout.
 func convert() {
 	rec := Record{Date: time.Now().UTC().Format(time.RFC3339)}
@@ -161,7 +172,7 @@ func convert() {
 		if err != nil {
 			continue
 		}
-		r := Result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		r := Result{Name: seriesName(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 		// The remainder alternates value, unit.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

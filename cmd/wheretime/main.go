@@ -77,9 +77,7 @@ func main() {
 		l2kb        = flag.String("l2kb", "", "override L2 cache size in KB; a comma-separated list sweeps platforms in one ganged grid (0 or empty = Table 4.1's 512)")
 		btb         = flag.String("btb", "", "override BTB entries; a comma-separated list sweeps platforms (0 or empty = Pentium II's 512)")
 		parallel    = flag.Int("parallel", harness.DefaultParallelism(), "worker count for the experiment grid (1 = serial)")
-		maxrec      = flag.Int("maxrecorded", 0, "recording cap in events for the record-once/replay-many engine (0 = default, negative disables replay)")
-		cachemb     = flag.Int("cachemb", 0, "per-worker trace-cache budget in MiB of retained (compressed) arena (0 = default, negative disables cross-cell retention)")
-		storeDir    = flag.String("store", "", "persistent trace/tally store directory: captures and tallies persist across runs, so a warm directory starts the grid from disk (requires recording)")
+		storeDir    = flag.String("store", "", "persistent trace/tally store directory: tallies and first-pass captures persist across runs, so a warm directory starts the grid from disk")
 	)
 	flag.Parse()
 
@@ -90,34 +88,10 @@ func main() {
 		return
 	}
 
-	// Flags that only steer the recording arena contradict a run with
-	// recording disabled: reject the combination instead of silently
-	// ignoring half of it.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *maxrec < 0 {
-		if set["cachemb"] && *cachemb > 0 {
-			fmt.Fprintln(os.Stderr, "wheretime: -cachemb > 0 contradicts -maxrecorded < 0: recording is disabled, nothing can be cached")
-			os.Exit(2)
-		}
-		if *storeDir != "" {
-			fmt.Fprintln(os.Stderr, "wheretime: -store contradicts -maxrecorded < 0: recording is disabled, nothing can persist")
-			os.Exit(2)
-		}
-	}
-
 	opts := harness.DefaultOptions()
 	opts.Scale = *scale
 	opts.Selectivity = *selectivity
 	opts.RecordSize = *recsize
-	opts.MaxRecordedEvents = *maxrec
-	// A negative budget means "retain nothing"; scaling it by MiB would
-	// just produce a different negative number, so map it to -1 exactly.
-	if *cachemb < 0 {
-		opts.TraceCacheBytes = -1
-	} else {
-		opts.TraceCacheBytes = *cachemb << 20
-	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -21,7 +21,7 @@ func main() {
 	opts.Scale = 0.01
 
 	// The scenario experiments go through the same grid as every paper
-	// figure: cells dedupe, gang, record/replay and parallelise.
+	// figure: cells dedupe, gang, persist to the store and parallelise.
 	var exps []harness.Experiment
 	for _, name := range []string{"ghj", "sortagg", "btree", "joinsort", "idxjoin"} {
 		e, err := harness.Find(name)

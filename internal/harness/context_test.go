@@ -141,9 +141,9 @@ func TestMeasureContextMidRunCancel(t *testing.T) {
 	}
 }
 
-// TestTPCDReexecutionChecksContext: with recording off, the TPC-D
-// suite's measured pass re-executes all its queries, so the context is
-// checked before it as before every re-executed micro pass. The
+// TestTPCDReexecutionChecksContext: the TPC-D suite's measured pass
+// re-executes all its queries, so the context is checked before it as
+// before every micro pass. The
 // countdown lets the unit's entry check pass and fires at the
 // between-passes one: the cell must stop after one suite pass, holding
 // no trace buffers.
@@ -151,7 +151,6 @@ func TestTPCDReexecutionChecksContext(t *testing.T) {
 	c0, e0, b0 := trace.LiveBuffers()
 	opts := DefaultOptions()
 	opts.Scale = 0.002
-	opts.MaxRecordedEvents = -1
 	opts.Context = &countdownCtx{Context: context.Background(), left: 2}
 	env, err := NewEnv(opts)
 	if err != nil {

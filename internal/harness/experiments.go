@@ -179,8 +179,8 @@ func scenarioLongName(q QueryKind) string {
 
 // scenarioCells emits one microbenchmark cell per valid system for a
 // scenario query kind. Scenario cells are ordinary CellMicro specs, so
-// they dedupe, gang, record/replay and parallelise exactly like the
-// paper's cells.
+// they dedupe, gang, persist to the store and parallelise exactly like
+// the paper's cells.
 func scenarioCells(q QueryKind) func(opts Options) []CellSpec {
 	return func(opts Options) []CellSpec {
 		var specs []CellSpec

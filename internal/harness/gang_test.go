@@ -140,13 +140,12 @@ func TestGangParallelMatchesSerial(t *testing.T) {
 }
 
 // TestGangUsesOneExecution pins the gang's reason to exist: a
-// multi-config unit whose stream overflows the recording cap still
-// executes the workload once per run for the whole gang, not once per
-// config — observed through the engine's execution counter.
+// multi-config unit executes the workload once per run for the whole
+// gang, not once per config — observed through the engine's execution
+// counter.
 func TestGangUsesOneExecution(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.002
-	opts.MaxRecordedEvents = -1 // force the re-execution fallback
 	env, err := NewEnv(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +164,8 @@ func TestGangUsesOneExecution(t *testing.T) {
 	if len(cells) != len(configs) {
 		t.Fatalf("gang returned %d cells for %d configs", len(cells), len(configs))
 	}
-	// Warmup+measured = 2 runs; with recording off each run executes
-	// the engine once for the WHOLE gang. K executions per run would
+	// Warmup+measured = 2 runs; each run executes the engine once for
+	// the WHOLE gang. K executions per run would
 	// mean the gang degenerated to sequential draining.
 	wantExecs := uint64(opts.Warmup + 1)
 	if got := env.Engine(engine.SystemD).Executions(); got != wantExecs {

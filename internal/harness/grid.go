@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"wheretime/internal/engine"
 	"wheretime/internal/fanout"
@@ -55,15 +54,15 @@ type CellSpec struct {
 	// Config is the simulated platform the cell is measured on. The
 	// zero value means the run options' platform. Config never
 	// influences the emitted event stream — only how the stream is
-	// costed — so cells differing only here share one recording and
-	// gang into a single multi-config drain (see Measure).
+	// costed — so cells differing only here share one stream and gang
+	// into a single multi-config drain (see Measure).
 	Config xeon.Config
 }
 
 // emissionKey strips the platform configuration from a spec, leaving
 // exactly the fields that determine the emitted event stream: the key
-// the trace cache stores captures under, and the key the gang
-// scheduler groups by.
+// the gang scheduler groups by, and the core of the key a stored
+// trace is filed under.
 func emissionKey(spec CellSpec) CellSpec {
 	spec.Config = xeon.Config{}
 	return spec
@@ -172,8 +171,8 @@ func (env *Env) microTarget(spec CellSpec) (*Env, error) {
 // RunGang measures one gang: cells that share an emission-relevant
 // key (same system, query and workload parameters) and differ only in
 // platform configuration. The whole gang is one work unit on one
-// multi-config drain — the engine executes (or the recording is read)
-// once for all K configurations (see measure). Each cell's counters
+// multi-config drain — the engine executes (or the stored trace is
+// read) once for all K configurations (see measure). Each cell's counters
 // are bit-identical to measuring it alone, which
 // TestGangMatchesSequential pins.
 func (env *Env) RunGang(unit []CellSpec) ([]Cell, error) {
@@ -182,37 +181,36 @@ func (env *Env) RunGang(unit []CellSpec) ([]Cell, error) {
 }
 
 // subEnv returns the cached environment rebuilt at the given record
-// size, constructing it on first use. Sub-environments share the
-// parent's trace cache (the cache key includes the record size), so
-// the worker's recording budget is accounted once.
+// size, constructing it on first use.
 func (env *Env) subEnv(recordSize int) (*Env, error) {
 	if sub, ok := env.subenvs[recordSize]; ok {
 		return sub, nil
 	}
 	opts := env.Opts
 	opts.RecordSize = recordSize
-	// The sub-environment shares the parent's warm-start machinery
-	// rather than opening its own: clear the store options before
-	// building, then alias the parent's trace cache and store handle
-	// (the keys all include the record size, so sharing is safe).
+	// The sub-environment shares the parent's store rather than opening
+	// its own: clear the store options before building, then alias the
+	// parent's handle (the keys all include the record size, so sharing
+	// is safe).
 	opts.StoreDir = ""
 	opts.Store = nil
 	sub, err := NewEnv(opts)
 	if err != nil {
 		return nil, err
 	}
-	sub.traces = env.traces
 	sub.store = env.store
+	sub.recordCap = env.recordCap
 	env.subenvs[recordSize] = sub
 	return sub, nil
 }
 
-// cellTrace is one cached capture: the recorded stream of a cell
-// (one run of a micro query, one suite pass for TPC-D, the measured
-// mix for TPC-C, whose warm-up slice rides along in warm) plus the
-// execution results replay cannot recompute. A live run that captured
-// nothing returns its results in one with nil streams, which is never
-// stored. A cellTrace is immutable once stored; replays only read it.
+// cellTrace is one unit's capture: the recorded stream (one run of a
+// micro query, one suite pass for TPC-D, the measured mix for TPC-C,
+// whose warm-up slice rides along in warm) plus the execution results
+// replay cannot recompute. The live path fills one while its first
+// pass is captured and releases the streams once they are stored; a
+// stored-trace hit loads one and releases it after the drains. Either
+// way only the results outlive the unit.
 type cellTrace struct {
 	stream *trace.Recording
 	warm   *trace.Recording
@@ -220,118 +218,17 @@ type cellTrace struct {
 	stats  workload.TPCCStats
 }
 
-// bytes returns the capture's retained arena footprint — compressed
-// bytes, the quantity the worker's cache budget is denominated in.
-func (ct *cellTrace) bytes() int {
-	n := ct.stream.Bytes()
-	if ct.warm != nil {
-		n += ct.warm.Bytes()
-	}
-	return n
-}
-
-// release returns the capture's chunks to the shared free list.
+// release returns the capture's chunks to the shared free lists and
+// clears its streams; the results stay.
 func (ct *cellTrace) release() {
-	ct.stream.Release()
+	if ct.stream != nil {
+		ct.stream.Release()
+		ct.stream = nil
+	}
 	if ct.warm != nil {
 		ct.warm.Release()
+		ct.warm = nil
 	}
-}
-
-// traceCache is a worker's record-once/replay-many store: captured
-// event streams keyed by the emission-relevant cell spec — system,
-// query, workload parameters; deliberately not the platform Config,
-// which never influences the emitted stream. A revisit of the same
-// cell replays the capture instead of re-running the engine. Note
-// where the hits actually come from: the grid scheduler deduplicates
-// specs and the breakdown memo absorbs repeated Run calls, so inside
-// one RunExperiments pass the cache mostly feeds the within-cell
-// warm-up replays; the cross-cell wins are direct Env revisits that
-// bypass the memo — repeated RunTPCC calls (which also skip the
-// database rebuild) and memo-cleared reruns. The retained footprint
-// is budgeted in arena bytes — compressed bytes since the columnar
-// codec, so one budget holds ~8x the events it held raw — and
-// insertion-order eviction releases the oldest captures back to the
-// free lists. Like everything under an Env, a traceCache belongs to
-// one worker goroutine.
-type traceCache struct {
-	budget int // retained-arena budget, bytes
-	total  int // retained arena across entries, bytes
-	order  []CellSpec
-	cells  map[CellSpec]*cellTrace
-}
-
-func newTraceCache(budget int) *traceCache {
-	return &traceCache{budget: budget, cells: make(map[CellSpec]*cellTrace)}
-}
-
-// lookup returns the capture for key, if cached. Keys normalise
-// through emissionKey, so a config-bearing spec finds the capture its
-// stream shares with every other platform. Nil-safe: a nil cache
-// (recording disabled) never hits.
-func (tc *traceCache) lookup(key CellSpec) (*cellTrace, bool) {
-	if tc == nil {
-		return nil, false
-	}
-	ct, ok := tc.cells[emissionKey(key)]
-	return ct, ok
-}
-
-// store retains a capture, evicting the oldest entries when the
-// worker's byte budget would overflow. A capture bigger than the
-// whole budget is released immediately. Keys normalise through
-// emissionKey like lookup's.
-func (tc *traceCache) store(key CellSpec, ct *cellTrace) {
-	if tc == nil {
-		ct.release()
-		return
-	}
-	key = emissionKey(key)
-	if old, ok := tc.cells[key]; ok {
-		// Replacing an entry (same cell re-captured): drop the old one.
-		tc.total -= old.bytes()
-		old.release()
-		delete(tc.cells, key)
-		for i, k := range tc.order {
-			if k == key {
-				tc.order = append(tc.order[:i], tc.order[i+1:]...)
-				break
-			}
-		}
-	}
-	n := ct.bytes()
-	if n > tc.budget {
-		ct.release()
-		return
-	}
-	for tc.total+n > tc.budget && len(tc.order) > 0 {
-		oldest := tc.order[0]
-		tc.order = tc.order[1:]
-		if old, ok := tc.cells[oldest]; ok {
-			tc.total -= old.bytes()
-			old.release()
-			delete(tc.cells, oldest)
-		}
-	}
-	tc.cells[key] = ct
-	tc.order = append(tc.order, key)
-	tc.total += n
-}
-
-// drop releases every retained capture back to the shared free lists
-// and empties the cache. Called from Env.Close: a finished grid must
-// hand its arenas back so a long-running process (the wheretimed
-// service) does not accrete one cache of captures per request.
-func (tc *traceCache) drop() {
-	if tc == nil {
-		return
-	}
-	for _, ct := range tc.cells {
-		ct.release()
-	}
-	tc.cells = make(map[CellSpec]*cellTrace)
-	tc.order = nil
-	tc.total = 0
 }
 
 // EnvFactory lazily builds one isolated simulator stack — databases,
@@ -420,9 +317,8 @@ func dedupeSpecs(specs []CellSpec) []CellSpec {
 }
 
 // gangUnits partitions deduplicated specs into scheduler work units:
-// cells sharing an emission-relevant key — the same key the trace
-// cache uses, everything but the platform Config — form one
-// multi-config unit; order is first-seen, so the serial path remains
+// cells sharing an emission-relevant key — everything but the
+// platform Config — form one multi-config unit; order is first-seen, so the serial path remains
 // deterministic. The unbatched reference path measures one event at a
 // time and every cell alone, so it stays an independent check on the
 // gang fan-out.
@@ -496,12 +392,12 @@ func Measure(opts Options, specs []CellSpec, parallel int) (*Results, error) {
 }
 
 // MeasureContext is Measure under a context: the grid checks for
-// cancellation between work units (and, inside a cell, between
-// re-execution runs) and stops at the first barrier after ctx is
-// cancelled or its deadline passes, returning the partial Results
-// measured so far together with a *PartialError wrapping ctx.Err().
-// Cancellation never interrupts a cell mid-drain, so no recording is
-// abandoned half-captured and no trace buffer leaks; a run that is
+// cancellation between work units (and, inside a cell, between its
+// passes) and stops at the first barrier after ctx is cancelled or its
+// deadline passes, returning the partial Results measured so far
+// together with a *PartialError wrapping ctx.Err(). Cancellation
+// never interrupts a cell mid-drain, and a capture is stored and
+// released before the first barrier, so no trace buffer leaks; a run that is
 // never cancelled is byte-identical to Measure, which the golden
 // matrix pins. A store opened from Options.StoreDir is flushed even on
 // the cancelled path — the cells already measured warm the next run.
@@ -519,7 +415,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 	// the end. A run that was handed an open Store leaves flushing to
 	// its owner.
 	var flushStore *tracestore.Store
-	if opts.Store == nil && opts.StoreDir != "" && opts.maxRecorded() >= 0 {
+	if opts.Store == nil && opts.StoreDir != "" && !opts.Unbatched {
 		store, err := tracestore.Open(opts.StoreDir)
 		if err != nil {
 			return nil, err
@@ -545,7 +441,6 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 		if err != nil {
 			return nil, err
 		}
-		defer env.Close()
 		for done, unit := range units {
 			if cerr := ctx.Err(); cerr != nil {
 				return res, finish(&PartialError{Done: done, Total: len(units), Err: cerr})
@@ -571,24 +466,13 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 		err   error
 	}
 	outcomes := make([]outcome, len(units))
-	// Worker environments are tracked so their retained captures are
-	// released once the grid is done — a long-running caller (the
-	// wheretimed service) measures many grids per process and must not
-	// accrete trace arenas.
-	var envMu sync.Mutex
-	var envs []*Env
+	// No worker environment needs closing: the run's store, if any, is
+	// the shared handle opened above, which finish flushes.
 	fanout.RunContext(ctx, len(units), parallel, func() func(int) bool {
 		factory := NewEnvFactory(opts)
-		registered := false
 		return func(i int) bool {
 			env, err := factory.Env()
 			if err == nil {
-				if !registered {
-					envMu.Lock()
-					envs = append(envs, env)
-					envMu.Unlock()
-					registered = true
-				}
 				var cells []Cell
 				cells, err = measureUnit(env, units[i])
 				outcomes[i] = outcome{cells: cells, err: err}
@@ -598,9 +482,6 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 			return err == nil
 		}
 	})
-	for _, env := range envs {
-		env.Close()
-	}
 
 	done := 0
 	var firstErr error
@@ -630,7 +511,7 @@ func MeasureContext(ctx context.Context, opts Options, specs []CellSpec, paralle
 
 // MeasureGang measures cells that share one emission key — platform
 // variants of a single workload — as a single gang work unit: the
-// engine executes (or the recording replays) once for every
+// engine executes (or the stored trace replays) once for every
 // configuration in the set (see RunGang). It is the entry the
 // wheretimed batcher dispatches an accumulated request window
 // through. Specs are deduplicated, and every spec must share the

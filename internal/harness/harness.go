@@ -96,41 +96,26 @@ type Options struct {
 	// Warmup is how many unmeasured runs warm the caches (Section 4.3).
 	Warmup int
 	// Unbatched routes every event through the one-call-per-event
-	// reference path instead of the batched pipeline drain, with
-	// recording disabled (every run re-executes the engine). The
-	// reference and batched paths see the identical event sequence and
-	// must render byte-identical tables; the golden-file suite measures
-	// both ways and diffs them. Slower — for verification, not for
-	// experiments.
+	// reference path instead of the batched pipeline drain, and keeps
+	// the run storeless (StoreDir and Store are ignored), so nothing
+	// the batched protocol stored can answer it. The reference and
+	// batched paths see the identical event sequence and must render
+	// byte-identical tables; the golden-file suite measures both ways
+	// and diffs them. Slower — for verification, not for experiments.
 	Unbatched bool
-	// MaxRecordedEvents caps the event count of one record-once /
-	// replay-many capture: a cell whose stream exceeds the cap falls
-	// back to re-executing every run (so huge decision-support suites
-	// cannot blow the heap). Zero means DefaultMaxRecordedEvents;
-	// negative disables recording and replay entirely (the replay-smoke
-	// CI step measures both settings and diffs the outputs, which must
-	// be byte-identical). The retained footprint across captures is
-	// bounded separately, in compressed bytes, by TraceCacheBytes.
-	MaxRecordedEvents int
-	// TraceCacheBytes budgets the per-worker trace cache in retained
-	// arena bytes — compressed bytes, since that is what the arenas
-	// occupy. Zero means DefaultTraceCacheBytes; negative disables
-	// cross-cell retention entirely (within-cell record/replay still
-	// works — captures just release as soon as their cell finishes).
-	TraceCacheBytes int
 	// StoreDir, when non-empty, opens a persistent tracestore at that
-	// directory: captured streams and cell tallies persist across
+	// directory: cell tallies, and the first-pass capture of every
+	// stream that fits DefaultMaxRecordedEvents, persist across
 	// processes, so a warm directory starts the grid from disk instead
 	// of from zero. The env owns the store and Close flushes it.
-	// Requires recording (MaxRecordedEvents >= 0).
 	StoreDir string
 	// Store hands the environment an already-open store instead of a
 	// directory; the caller keeps ownership (and calls Flush). Measure
 	// opens one store per run and shares it across workers this way.
 	Store *tracestore.Store
 	// Context, when non-nil, lets a long measurement be cancelled: the
-	// grid checks it between cells and between re-execution runs inside
-	// a cell, and stops with an error wrapping ctx.Err() at the first
+	// grid checks it between cells and between the passes inside a
+	// cell, and stops with an error wrapping ctx.Err() at the first
 	// check after cancellation. Cancellation is a barrier, never a
 	// mid-drain interrupt — a run that is never cancelled produces
 	// byte-identical output with or without a context, which the golden
@@ -139,61 +124,15 @@ type Options struct {
 	Context context.Context
 }
 
-// DefaultMaxRecordedEvents is the default recording cap: 16Mi events.
-// PR3 set it to 2Mi because a capture was a raw 32-byte-per-event
-// arena and 2Mi (64 MiB) was the measured point where re-reading the
-// arena cost more DRAM traffic and page-fault churn than regenerating
-// the events cost in compute. The columnar codec moved that
-// crossover: real engine streams encode to ~3.5 bytes/event (8.5-8.9x
-// measured, docs/PERF.md), so 16Mi events is ~56 MiB compressed —
-// the same memory footprint the old cap allowed, holding 8x the
-// events. At the new cap the trade is measured at break-even on this
-// host: the fused decode replays the 12M-event TPC-C capture within
-// ~10% of full re-execution (BenchmarkCompressedReplay vs
-// BenchmarkReplayVsExecute), while the capture now fits the worker's
-// cache budget at all — so revisits skip the database rebuild and
-// engine execution outright, and gang drains decode once for all K
-// configurations. Streams past the cap — the sequential-scan sweeps
-// and TPC-D suites — still fall back to re-execution, and the capped
-// copy attempt before overflow detection stays bounded.
+// DefaultMaxRecordedEvents caps a capture bound for the store: 16Mi
+// events, ~56 MiB at the codec's ~3.5 bytes/event. Only a unit
+// measured with a store records, and only its first pass (plus TPC-C's
+// warm slice); a stream past the cap — the TPC-D suites, the larger
+// sequential scans — is released the moment it overflows, and its
+// unit simply stores no trace. Every pass executes live either way:
+// re-emitting a stream costs 5–9 ns/event, decoding a capture 12–21
+// (docs/PERF.md), so a capture exists only to be stored.
 const DefaultMaxRecordedEvents = 16 << 20
-
-// DefaultTraceCacheBytes is the default per-worker trace-cache
-// budget: 64 MiB of retained compressed arena, the DRAM footprint the
-// old 2Mi-raw-event cap allowed, now holding ~8x the events. Distinct
-// from the per-capture event cap: the cap bounds one stream, the
-// budget bounds what a worker retains across cells.
-const DefaultTraceCacheBytes = 64 << 20
-
-// maxRecorded resolves the recording cap: the explicit value, the
-// default when zero, and -1 (recording disabled) when negative or when
-// the unbatched reference path is selected.
-func (o Options) maxRecorded() int {
-	switch {
-	case o.Unbatched || o.MaxRecordedEvents < 0:
-		return -1
-	case o.MaxRecordedEvents == 0:
-		return DefaultMaxRecordedEvents
-	default:
-		return o.MaxRecordedEvents
-	}
-}
-
-// traceCacheBytes resolves the cache budget: the explicit value, the
-// default when zero, and 0 (retain nothing) when negative. A negative
-// budget used to fall through as-is and underflow the cache's byte
-// accounting; it now means "caching off", mirroring how a negative
-// MaxRecordedEvents means "recording off".
-func (o Options) traceCacheBytes() int {
-	switch {
-	case o.TraceCacheBytes < 0:
-		return 0
-	case o.TraceCacheBytes == 0:
-		return DefaultTraceCacheBytes
-	default:
-		return o.TraceCacheBytes
-	}
-}
 
 // Validate rejects option values the environment builders would panic
 // on or silently misbehave with, so CLIs can fail with a usage error
@@ -258,18 +197,17 @@ type Env struct {
 	// record-size sweeps), keyed by record size.
 	subenvs map[int]*Env
 
-	// traces is the worker's record-once/replay-many cache: captured
-	// event streams keyed by emission-relevant cell spec, shared with
-	// the env's sub-environments and selectivity shifts. Nil when
-	// recording is disabled.
-	traces *traceCache
-
 	// store is the persistent trace/tally store, nil when none is
 	// configured. ownStore marks a store the env opened itself from
 	// Options.StoreDir (Close flushes it); a store handed in through
 	// Options.Store stays owned by the caller.
 	store    *tracestore.Store
 	ownStore bool
+
+	// recordCap caps a capture bound for the store, in events:
+	// DefaultMaxRecordedEvents, lowered only by tests that need every
+	// capture to overflow.
+	recordCap int
 
 	// oltpBuf is the reusable emission buffer OLTP runs fill, re-bound
 	// per run instead of reallocated per run.
@@ -304,11 +242,11 @@ func NewEnv(opts Options) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{Opts: opts, Dims: dims, nsm: nsm, pax: pax,
-		memo: make(map[CellSpec]Cell), subenvs: make(map[int]*Env)}
-	if opts.maxRecorded() >= 0 {
-		env.traces = newTraceCache(opts.traceCacheBytes())
-		// The persistent store rides on recording: without captures there
-		// is nothing sound to persist or replay.
+		memo: make(map[CellSpec]Cell), subenvs: make(map[int]*Env),
+		recordCap: DefaultMaxRecordedEvents}
+	// The unbatched reference path stays storeless: it checks the
+	// batched protocol, so nothing that protocol stored may answer it.
+	if !opts.Unbatched {
 		if opts.Store != nil {
 			env.store = opts.Store
 		} else if opts.StoreDir != "" {
@@ -398,9 +336,8 @@ func (env *Env) planFor(s engine.System, q QueryKind, query string) (*sql.Plan, 
 }
 
 // Run measures one (system, query) cell: warm-up runs, counter reset,
-// then one measured run, the warm-cache protocol of Section 4.3 —
-// with the engine executing once and the recorded stream replayed for
-// the repeat runs (see measure). Results are memoised per (system,
+// then one measured run, the warm-cache protocol of Section 4.3, every
+// run executed live (see measure). Results are memoised per (system,
 // query, selectivity, platform).
 func (env *Env) Run(s engine.System, q QueryKind) (Cell, error) {
 	return env.RunSpec(microCell(env.Opts, s, q))
@@ -434,12 +371,10 @@ func (env *Env) RunTPCD(s engine.System) (Cell, error) {
 
 // RunTPCC runs the OLTP mix on one system. Unlike the read-only
 // cells, the mix mutates the database as it runs, so the warm-up slice
-// and the measured mix emit different streams and a single call
-// executes both for real; what the recorder buys here is the
-// cross-cell cache: a revisit of the same (system, txns) cell replays
-// both captured phases into a fresh pipeline without rebuilding the
-// database or executing a single transaction. TPC-C is not memoised,
-// so every call takes that path.
+// and the measured mix emit different streams, and a call builds a
+// fresh TPC-C database and executes both. TPC-C is not memoised (the
+// memo holds no transaction statistics), so every call re-executes,
+// unless a stored tally or trace answers it.
 func (env *Env) RunTPCC(s engine.System, txns int) (Cell, workload.TPCCStats, error) {
 	cells, stats, err := env.measure([]CellSpec{{Kind: CellTPCC, System: s, Txns: txns}})
 	if err != nil {
@@ -462,13 +397,14 @@ func (env *Env) ctxErr() error {
 	return nil
 }
 
-// newRecorder returns a recorder capturing the sink's input into the
-// worker's trace arena, or nil when recording is disabled.
+// newRecorder returns a recorder capturing the sink's input for the
+// store, or nil when the env has no store: a capture exists only to be
+// stored.
 func (env *Env) newRecorder(sink trace.Processor) *trace.Recorder {
-	if env.traces == nil {
+	if env.store == nil {
 		return nil
 	}
-	return trace.NewRecorder(sink, env.Opts.maxRecorded())
+	return trace.NewRecorder(sink, env.recordCap)
 }
 
 // captured returns a recorder's complete capture: nil when there was
@@ -512,8 +448,9 @@ func (env *Env) passes(kind CellKind) int {
 }
 
 // source is one cell kind's workload: what the protocol executes when
-// no capture exists. Everything else — tallies, captures, replay,
-// re-execution — is common to every kind and lives in measure.
+// no stored trace answers the unit. Everything else — tallies,
+// captures, stored-trace replay — is common to every kind and lives in
+// measure.
 type source struct {
 	// warm, when set, is a distinct warm-up phase run once before the
 	// passes: TPC-C's slice of the mix, which mutates the database the
@@ -522,8 +459,8 @@ type source struct {
 	// pass emits one pass into sink and fills in the results replay
 	// cannot recompute. Micro and TPC-D passes start from reset engine
 	// state, so every pass emits the byte-identical stream — a pure
-	// function of the unit key — and a capture of the first replays
-	// exactly for the rest.
+	// function of the unit key — and a stored capture of the first
+	// replays exactly on another platform.
 	pass func(sink trace.Processor, out *cellTrace) error
 }
 
@@ -605,11 +542,10 @@ func (env *Env) emitBuffer(sink trace.Processor) *trace.Buffer {
 // share an emission key and differ only in platform, measured together
 // on one xeon.MultiPipeline — a single cell is a gang of one. One pass
 // over the unit's stream feeds all K configurations, so the engine
-// executes (or the arena is read) once instead of K times. Every cell
-// kind takes the same steps, in this order: memo or tally lookup; a
-// capture hit, replayed (see drainWarm); otherwise the first pass
-// executed live and captured in flight, the remaining passes replayed
-// from that capture or re-executed (see execute); the capture stored;
+// executes (or the stored trace is read) once instead of K times.
+// Every cell kind takes the same steps, in this order: memo or tally
+// lookup; a stored trace, replayed (see drainWarm); otherwise every
+// pass executed live, the first captured for the store (see execute);
 // the cells finished; the tallies put. The kinds differ only in what a
 // pass emits (see source).
 func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
@@ -633,14 +569,10 @@ func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
 	}
 
 	multi := xeon.NewMulti(cfgs)
-	ct, fromStore := env.cellStream(key)
-	if ct != nil {
-		drainWarm(multi, ct, env.passes(key.Kind), 0)
-		if fromStore {
-			// Filed only after its last drain: inserting a capture over
-			// the cache budget releases it on the spot.
-			env.traces.store(key, ct)
-		}
+	ct, ok := env.loadStoredTrace(key)
+	if ok {
+		drainWarm(multi, ct, env.passes(key.Kind))
+		ct.release()
 	} else {
 		var err error
 		if ct, err = env.execute(multi, key); err != nil {
@@ -665,23 +597,19 @@ func (env *Env) measure(unit []CellSpec) ([]Cell, workload.TPCCStats, error) {
 }
 
 // execute runs the unit's workload live, every configuration draining
-// the one emitted stream: the warm phase (if any) and the first pass
-// captured in flight, then the remaining passes replayed from the
-// capture. When nothing was captured — recording off (Unbatched,
-// negative MaxRecordedEvents) or the stream overflowed the cap — the
-// remaining passes re-execute from reset state instead: the slower
-// path with the identical event sequence, which the replay-smoke CI
-// step diffs against. Re-execution is the slow leg, so it checks for
-// cancellation between passes; replay drains are in-memory passes that
-// run to completion (nothing to leak, nothing slow to interrupt). A
-// complete capture is stored for revisits. The returned cellTrace
-// carries the results; its streams are nil when nothing was captured.
+// the one emitted stream: the warm phase (if any), then every pass
+// from reset engine state, the counters reset before the measured
+// one. With a store, the warm phase and the first pass are captured in
+// flight, and the capture is written and released straight after that
+// pass (see putStoredTrace), so no later pass and no cancellation
+// barrier ever holds trace buffers. The context is checked between
+// passes. The returned cellTrace carries the results; its streams are
+// always nil.
 func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec) (*cellTrace, error) {
 	src, err := env.newSource(key)
 	if err != nil {
 		return nil, err
 	}
-	passes := env.passes(key.Kind)
 	out := &cellTrace{}
 	var rec *trace.Recorder
 	if src.warm != nil {
@@ -697,35 +625,25 @@ func (env *Env) execute(multi *xeon.MultiPipeline, key CellSpec) (*cellTrace, er
 	} else {
 		rec = env.newRecorder(multi)
 	}
-	if passes == 1 {
-		multi.ResetStats() // the first pass is the measured one
-	}
-	if err := src.pass(env.sink(rec, multi), out); err != nil {
-		return nil, err
-	}
-
-	if out.stream = captured(rec); out.stream != nil {
-		drainWarm(multi, out, passes, 1)
-		env.putStoredTrace(key, out)
-		env.traces.store(key, out)
-		return out, nil
-	}
-	if out.warm != nil {
-		// The pass overflowed its cap, so no capture forms and the warm
-		// capture is useless on its own: release it now instead of
-		// holding it until the env dies.
-		out.warm.Release()
-		out.warm = nil
-	}
-	for i := 1; i < passes; i++ {
-		if err := env.ctxErr(); err != nil {
-			return nil, err
+	passes := env.passes(key.Kind)
+	for i := 0; i < passes; i++ {
+		if i > 0 {
+			if err := env.ctxErr(); err != nil {
+				return nil, err
+			}
 		}
 		if i == passes-1 {
 			multi.ResetStats()
 		}
-		if err := src.pass(env.sink(nil, multi), out); err != nil {
+		if err := src.pass(env.sink(rec, multi), out); err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			if out.stream = captured(rec); out.stream != nil {
+				env.putStoredTrace(key, out)
+			}
+			out.release()
+			rec = nil
 		}
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 
 	"wheretime/internal/engine"
 	"wheretime/internal/trace"
+	"wheretime/internal/tracestore"
 	"wheretime/internal/workload"
 	"wheretime/internal/xeon"
 )
@@ -19,9 +20,9 @@ func must(t *testing.T, err error) {
 
 // referenceMeasure is the Section 4.3 protocol written straight out: one
 // plain pipeline (no recorder, store or MultiPipeline), every pass
-// executed, the counters reset before the measured one.
+// executed, the counters reset before the measured one. The env only
+// lends its data and engines.
 func referenceMeasure(t *testing.T, opts Options, spec CellSpec) Cell {
-	opts.MaxRecordedEvents = -1 // the env lends its data and engines, nothing else
 	env, err := NewEnv(opts)
 	must(t, err)
 	pipe, e := xeon.New(env.configFor(spec)), env.Engine(spec.System)
@@ -67,10 +68,13 @@ func referenceMeasure(t *testing.T, opts Options, spec CellSpec) Cell {
 }
 
 // TestProtocolMatchesReference checks measure against the reference,
-// counter for counter, as a gang of one (RunSpec, live) and as a member
-// of a gang of three (RunGang, replaying that capture). Warmup 3 gives
-// both paths several warm-up drains: the live one replays the capture
-// taken in flight, the gang one drains it from the trace cache.
+// counter for counter, as a gang of one (RunSpec, live, into a fresh
+// store) and as a member of a gang of three (RunGang on a fresh env
+// over that store). Warmup 3 gives both paths several warm-up passes:
+// the live one re-executes them, the gang one drains the stored trace
+// for them. D/SRS, B/SJ and TPC-C(60) must be answered from the stored
+// trace; the TPC-D pass on D (19.2M events) overflows the recording
+// cap, so nothing is stored and its gang re-executes.
 func TestProtocolMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference TPC-D and TPC-C runs in -short mode; make gang-smoke runs it")
@@ -85,16 +89,30 @@ func TestProtocolMatchesReference(t *testing.T) {
 		{Kind: CellTPCC, System: engine.SystemC, Txns: 60, Config: opts.Config},
 	} {
 		want := referenceMeasure(t, opts, spec)
-		env, err := NewEnv(opts)
+		store, err := tracestore.Open(t.TempDir())
 		must(t, err)
-		defer env.Close()
+		stored := opts
+		stored.Store = store
+		env, err := NewEnv(stored)
+		must(t, err)
 		solo, err := env.RunSpec(spec)
 		must(t, err)
 		compareCells(t, spec, solo, want)
+
+		env, err = NewEnv(stored)
+		must(t, err)
 		big, btb := spec, spec
 		big.Config, btb.Config = gangSweepConfigs()[1], gangSweepConfigs()[2]
 		gang, err := env.RunGang([]CellSpec{big, spec, btb})
 		must(t, err)
 		compareCells(t, spec, gang[1], want)
+		st := store.Stats()
+		if spec.Kind == CellTPCD {
+			if st.TracesWritten != 0 || st.TraceHits != 0 {
+				t.Errorf("%s: the pass overflows the cap, yet the store saw trace traffic %+v", spec, st)
+			}
+		} else if st.TraceHits == 0 {
+			t.Errorf("%s: the gang was not answered from the stored trace: %+v", spec, st)
+		}
 	}
 }

@@ -3,10 +3,13 @@ package harness
 // This file is the warm-start layer: everything that lets a grid cell
 // skip work a previous measurement already did, at two depths.
 //
-//  1. Trace store (on disk). Captured streams persist as
+//  1. Trace store (on disk). A unit measured with a store captures
+//     its first pass in flight; the capture persists as
 //     content-addressed files (tracestore.PutTrace) with a small ref
-//     entry carrying what replay cannot recompute; a fresh process
-//     replays from disk instead of re-executing the engine.
+//     entry carrying what replay cannot recompute, and is released
+//     straight after. The same workload on another platform replays
+//     the stored stream instead of re-executing the engine; it is the
+//     only replay left in the protocol.
 //  2. Tally store (on disk). The finished breakdown of a cell —
 //     counts, cycle components (as float bits, so the round trip is
 //     exact), rates, result — persists keyed by (unit key, scale,
@@ -92,13 +95,14 @@ func TallyKey(opts Options, spec CellSpec) string {
 // TallyKey names in opts.Store, decoded and validated exactly as a
 // measurement's own tally lookup would, with no environment built and
 // nothing simulated. It misses without an open handle in opts.Store
-// (it never opens opts.StoreDir) or with recording off, where Measure
-// never consults the store either, and wherever the entry is absent or
-// undecodable; the caller then measures as usual. A hit is the cell
-// Measure returns for spec, bit for bit. The wheretimed service answers
-// repeat requests through it before any batching or worker machinery.
+// (it never opens opts.StoreDir) or on the unbatched reference path,
+// where Measure never consults the store either, and wherever the
+// entry is absent or undecodable; the caller then measures as usual.
+// A hit is the cell Measure returns for spec, bit for bit. The
+// wheretimed service answers repeat requests through it before any
+// batching or worker machinery.
 func LookupTally(opts Options, spec CellSpec) (Cell, bool) {
-	if opts.Store == nil || opts.maxRecorded() < 0 {
+	if opts.Store == nil || opts.Unbatched {
 		return Cell{}, false
 	}
 	cell, _, ok := lookupTally(opts.Store, TallyKey(opts, spec), unitKey(opts, spec))
@@ -118,20 +122,16 @@ func GangKey(opts Options, spec CellSpec) string {
 	return tracestore.KeyHash(fmt.Sprintf("%s|warmup=%d", keyMaterial("gang", spec, opts.Scale, nil, 0), opts.Warmup))
 }
 
-// drainWarm finishes the Section 4.3 protocol from a capture on a
-// gang: the warm phase (TPC-C's slice; on the cold path it already ran
-// live), the remaining warm-up drains of the stream, ResetStats, one
-// measured drain — with done passes already performed live by the
-// caller (1 on the cold path, whose first pass was captured in flight;
-// 0 on a capture hit).
-func drainWarm(multi *xeon.MultiPipeline, ct *cellTrace, passes, done int) {
-	if done >= passes {
-		return
-	}
+// drainWarm runs the Section 4.3 protocol from a stored trace on a
+// gang: the warm phase (TPC-C's slice), the warm-up drains of the
+// stream, ResetStats, one measured drain. The drains are in-memory
+// passes that run to completion, with no cancellation barrier between
+// them.
+func drainWarm(multi *xeon.MultiPipeline, ct *cellTrace, passes int) {
 	if ct.warm != nil {
 		ct.warm.Drain(multi)
 	}
-	for i := done; i < passes-1; i++ {
+	for i := 0; i < passes-1; i++ {
 		ct.stream.Drain(multi)
 	}
 	multi.ResetStats()
@@ -276,8 +276,9 @@ func (env *Env) recall(key CellSpec, cfgs []xeon.Config) ([]Cell, workload.TPCCS
 	return cells, stats, true
 }
 
-// remember memoises a finished cell. TPC-C is not memoised: its
-// revisits replay the cached capture instead.
+// remember memoises a finished cell. TPC-C is not memoised: the memo
+// holds no transaction statistics, so a revisit measures again (or
+// answers from the store).
 func (env *Env) remember(key CellSpec, cfg xeon.Config, c Cell) {
 	if key.Kind != CellTPCC {
 		env.memo[memoKey(key, cfg)] = c
@@ -336,11 +337,11 @@ func (env *Env) putStoredTrace(spec CellSpec, ct *cellTrace) {
 }
 
 // loadStoredTrace fetches a persisted capture. Like lookupTally, every
-// decode problem is a miss, and a ref blob that fails to decode is
-// dropped so the recompute's ref replaces it. A ref whose trace files
-// went missing or corrupt, or whose stream exceeds this run's
-// recording cap, keeps its entry (the store quarantines a corrupt
-// file itself): whatever loaded is released and the cell recomputes.
+// problem is a miss, and a ref that cannot be replayed — a blob that
+// fails to decode, a malformed digest, a stream or warm file that is
+// missing or corrupt (the store quarantines a corrupt file itself), a
+// stream over the recording cap — is dropped, so the recompute's ref
+// replaces it instead of losing to first-write-wins.
 func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {
 	if env.store == nil {
 		return nil, false
@@ -350,27 +351,36 @@ func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {
 	if !ok {
 		return nil, false
 	}
+	ct, ok := env.decodeStoredTrace(spec, blob)
+	if !ok {
+		env.store.DropEntry(key)
+	}
+	return ct, ok
+}
+
+// decodeStoredTrace loads the streams a ref blob names, releasing
+// whatever loaded when any part fails.
+func (env *Env) decodeStoredTrace(spec CellSpec, blob []byte) (*cellTrace, bool) {
 	var ref storedTraceRef
 	if err := json.Unmarshal(blob, &ref); err != nil || ref.Version != traceRefVersion ||
 		(spec.Kind == CellTPCC && (ref.Stats == nil || ref.WarmDigest == "")) {
-		env.store.DropEntry(key)
 		return nil, false
 	}
+	ct := &cellTrace{result: engine.Result{Value: math.Float64frombits(ref.ValueBits), Rows: ref.Rows}}
 	stream, err := env.store.GetTrace(ref.Digest)
 	if err != nil || stream == nil {
 		return nil, false
 	}
-	if stream.Len() > env.Opts.maxRecorded() {
-		// Stored under a larger recording cap than this run allows.
-		stream.Release()
+	ct.stream = stream
+	if stream.Len() > env.recordCap {
+		// Stored under a larger recording cap than this build allows.
+		ct.release()
 		return nil, false
 	}
-	ct := &cellTrace{stream: stream,
-		result: engine.Result{Value: math.Float64frombits(ref.ValueBits), Rows: ref.Rows}}
 	if ref.WarmDigest != "" {
 		warm, err := env.store.GetTrace(ref.WarmDigest)
 		if err != nil || warm == nil {
-			stream.Release()
+			ct.release()
 			return nil, false
 		}
 		ct.warm = warm
@@ -381,37 +391,11 @@ func (env *Env) loadStoredTrace(spec CellSpec) (*cellTrace, bool) {
 	return ct, true
 }
 
-// cellStream returns the capture for spec from the worker's in-memory
-// cache, or loads it from the persistent store. fromStore tells the
-// caller to file the capture into the in-memory cache once done
-// draining it — insertion can evict-and-release immediately when the
-// capture exceeds the budget, so it must happen after the last use.
-func (env *Env) cellStream(spec CellSpec) (ct *cellTrace, fromStore bool) {
-	if ct, ok := env.traces.lookup(spec); ok {
-		return ct, false
-	}
-	if ct, ok := env.loadStoredTrace(spec); ok {
-		return ct, true
-	}
-	return nil, false
-}
-
-// Close tears an environment down: the retained captures of the trace
-// cache are released back to the shared free lists (sub-environments
-// alias the same cache, so one drop covers them), and when the env
-// owns its store (built from Options.StoreDir rather than handed an
-// open handle), the staged index entries are flushed to disk. The env
-// stays usable afterwards — recording is simply off, every run
-// re-executes — but callers should treat Close as the end of its
-// life. Safe on an env without a store, and safe to call twice.
+// Close ends an environment's life: when the env owns its store (built
+// from Options.StoreDir rather than handed an open handle), the staged
+// index entries are flushed to disk. Safe on an env without a store,
+// and safe to call twice.
 func (env *Env) Close() error {
-	if env.traces != nil {
-		env.traces.drop()
-		env.traces = nil
-		for _, sub := range env.subenvs {
-			sub.traces = nil
-		}
-	}
 	if env.store != nil && env.ownStore {
 		return env.store.Flush()
 	}

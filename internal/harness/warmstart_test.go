@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"wheretime/internal/engine"
@@ -212,7 +213,7 @@ func TestStoreKeyNamesTPCDRecordSize(t *testing.T) {
 // protocol writes. Every case is measured into a fresh store and then
 // answered by LookupTally alone, which must return the measured cell
 // bit for bit — and miss once the scale or the warm-up count differs,
-// or once recording is off. The wheretimed service answers repeat
+// or on the unbatched reference path. The wheretimed service answers repeat
 // requests from this lookup and reports TallyKey as the response key,
 // so no end-to-end byte comparison could catch a key that names the
 // wrong entry.
@@ -260,10 +261,10 @@ func TestLookupTallyMatchesMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	otherScale, otherWarmup, noRecording := opts, opts, opts
+	otherScale, otherWarmup, unbatched := opts, opts, opts
 	otherScale.Scale = 2 * opts.Scale
 	otherWarmup.Warmup = opts.Warmup + 1
-	noRecording.MaxRecordedEvents = -1
+	unbatched.Unbatched = true
 	for _, c := range cases {
 		want, err := res.Get(c.spec)
 		if err != nil {
@@ -281,17 +282,18 @@ func TestLookupTallyMatchesMeasure(t *testing.T) {
 		if _, ok := LookupTally(otherWarmup, c.spec); ok {
 			t.Errorf("%s: a tally measured at warm-up %d answers at %d", c.name, opts.Warmup, otherWarmup.Warmup)
 		}
-		if _, ok := LookupTally(noRecording, c.spec); ok {
-			t.Errorf("%s: answered with recording off, where Measure never consults the store", c.name)
+		if _, ok := LookupTally(unbatched, c.spec); ok {
+			t.Errorf("%s: answered on the unbatched path, where Measure never consults the store", c.name)
 		}
 	}
 }
 
 // TestStoreHealsUndecodableEntries: an entry whose blob fails to decode
 // — bit rot inside a valid index.json, or a layout version this build
-// no longer reads — must not outlive the recompute. For each of the
-// two kinds of entry the protocol reads (tally, trace ref), an
-// undecodable blob is planted on disk under the exact key; one
+// no longer reads — or a trace ref that cannot be replayed must not
+// outlive the recompute. For each of the two kinds of entry the
+// protocol reads (tally, trace ref), a bad blob is planted on disk
+// under the exact key; one
 // Measure must answer the right cell, quarantine the blob and stage the
 // good one in its place, and the flushed index must hold the blob a
 // fresh store holds, so the next process gets a tally hit. Under
@@ -324,6 +326,10 @@ func TestStoreHealsUndecodableEntries(t *testing.T) {
 		{"tally, bit rot", TallyKey(opts, spec), []byte("\x00rot")},
 		{"tally, old version", TallyKey(opts, spec), []byte(`{"v":0}`)},
 		{"trace ref", traceKey, []byte("\x00rot")},
+		// Refs that decode but cannot be replayed: a digest naming no
+		// file, and a malformed digest.
+		{"trace ref, missing stream", traceKey, []byte(`{"v":1,"digest":"` + strings.Repeat("0", 64) + `"}`)},
+		{"trace ref, malformed digest", traceKey, []byte(`{"v":1,"digest":"zz"}`)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			good, ok := refStore.GetEntry(c.key)

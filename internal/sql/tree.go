@@ -86,7 +86,7 @@ type Node struct {
 
 // Tree lowers the plan (including its hint) into its physical plan
 // tree, memoised on first call: the shape is a pure function of the
-// plan's fields, and the record/replay protocol re-executes plans
+// plan's fields, and the measurement protocol re-executes plans
 // many times. Hint/shape mismatches — a join hint on a single-table
 // plan, an index hint with no index — surface here, once, before any
 // event is emitted.

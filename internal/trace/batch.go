@@ -256,68 +256,3 @@ func (b *Buffer) RecordProcessed() {
 type Unbatched struct {
 	Processor
 }
-
-// Fanout is the BatchProcessor fan-in of the gang drain: each batch
-// goes to every sink, in order, before the next batch — so every sink
-// sees the exact emission order, and a batch read from memory once
-// feeds all K consumers. The per-event methods fan out the same way
-// for emitters that do not batch.
-type Fanout []BatchProcessor
-
-var _ BatchProcessor = Fanout(nil)
-
-// ProcessBatch implements BatchProcessor.
-func (f Fanout) ProcessBatch(events []Event) {
-	for _, p := range f {
-		p.ProcessBatch(events)
-	}
-}
-
-// FetchBlock implements Processor.
-func (f Fanout) FetchBlock(addr uint64, size, instrs, uops uint32) {
-	for _, p := range f {
-		p.FetchBlock(addr, size, instrs, uops)
-	}
-}
-
-// Load implements Processor.
-func (f Fanout) Load(addr uint64, size uint32) {
-	for _, p := range f {
-		p.Load(addr, size)
-	}
-}
-
-// Store implements Processor.
-func (f Fanout) Store(addr uint64, size uint32) {
-	for _, p := range f {
-		p.Store(addr, size)
-	}
-}
-
-// Branch implements Processor.
-func (f Fanout) Branch(pc, target uint64, taken bool) {
-	for _, p := range f {
-		p.Branch(pc, target, taken)
-	}
-}
-
-// DataBurst implements Processor.
-func (f Fanout) DataBurst(base uint64, bytes, loads, stores uint32) {
-	for _, p := range f {
-		p.DataBurst(base, bytes, loads, stores)
-	}
-}
-
-// ResourceStall implements Processor.
-func (f Fanout) ResourceStall(dep, fu, ild float64) {
-	for _, p := range f {
-		p.ResourceStall(dep, fu, ild)
-	}
-}
-
-// RecordProcessed implements Processor.
-func (f Fanout) RecordProcessed() {
-	for _, p := range f {
-		p.RecordProcessed()
-	}
-}

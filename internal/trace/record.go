@@ -5,27 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// This file is the record-once / replay-many half of the batch API.
-// The measurement protocol of the paper (Section 4.3) feeds the same
-// event stream through the simulator several times — warm-up runs,
-// then a measured run — and the stream itself is a pure function of
-// the experiment cell, so re-generating it per run is pure overhead.
-// A Recorder captures the stream the first time it flows past (by
+// This file is the capture half of the batch API. The stream of a
+// measurement is a pure function of the experiment cell, so a capture
+// of one pass, persisted (see package tracestore), lets the same
+// workload be costed on another platform without executing the
+// engine. A Recorder captures the stream as it flows past (by
 // interposing on the BatchProcessor flush path the emitters already
-// drain through), and a Recording replays it any number of times by
-// feeding the captured chunks straight back into ProcessBatch — zero
-// re-emission, zero per-event dispatch, zero copying.
+// drain through), and a Recording replays it by feeding the captured
+// chunks back into ProcessBatch.
 //
 // Recordings store events in columnar compressed chunks (see
 // codec.go): a single raw staging chunk fills to RecordChunkEvents
 // events and is then encoded into a struct-of-arrays byte buffer —
 // delta/varint addresses, bit-packed kinds and outcomes — typically
-// 4-8x smaller than the raw 32-byte events, which is what lets large
-// OLTP mixes replay from a DRAM-friendly arena instead of falling
-// back to re-execution. Raw staging chunks and encoded buffers are
-// both drawn from shared free lists, so a worker measuring cells one
-// after another recycles the same arena instead of growing and
-// abandoning multi-hundred-megabyte slices per cell.
+// 4-8x smaller than the raw 32-byte events. Raw staging chunks and
+// encoded buffers are both drawn from shared free lists, so a worker
+// capturing cells one after another recycles the same arena instead
+// of growing and abandoning multi-hundred-megabyte slices per cell.
 
 // RecordChunkEvents is the event capacity of one recording chunk:
 // 8192 events x 32 bytes = 256 KiB of staging, big enough to amortise
@@ -105,8 +101,8 @@ type Recording struct {
 func (r *Recording) Len() int { return r.n }
 
 // Bytes returns the recording's retained arena footprint: the encoded
-// chunk bytes plus the raw staging tail. This is the quantity the
-// harness trace cache budgets — compressed bytes, not event count.
+// chunk bytes plus the raw staging tail — compressed bytes, not event
+// count.
 func (r *Recording) Bytes() int {
 	b := len(r.tail) * EventBytes
 	for _, c := range r.enc {
@@ -209,17 +205,6 @@ func (r *Recording) Replay(p Processor) {
 	}
 }
 
-// DrainMulti feeds the recorded stream into every sink: the multi-
-// sink half of the gang drain, Drain through a Fanout. Each chunk is
-// read from the arena once and handed to all sinks before the next
-// chunk, so K consumers cost one pass of memory traffic; every sink
-// still sees the exact captured order. A gang of pipelines can
-// equally drain through a single xeon.MultiPipeline via Drain;
-// DrainMulti is the trace-level form for heterogeneous sinks.
-func (r *Recording) DrainMulti(ps ...BatchProcessor) {
-	r.Drain(Fanout(ps))
-}
-
 // Equal reports whether two recordings hold the same event sequence,
 // independent of how the events landed in chunks.
 func (r *Recording) Equal(o *Recording) bool {
@@ -249,7 +234,7 @@ func (r *Recording) Equal(o *Recording) bool {
 // be drained afterwards (it holds no events), but it may be refilled
 // by a new capture. The Recorder calls it the moment a capture
 // overflows its cap, so an abandoned capture's chunks recycle
-// immediately instead of riding along until cache eviction.
+// immediately.
 func (r *Recording) Release() {
 	for _, b := range r.enc {
 		putEncBuf(b)

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// This file is the serialization half of the record-once/replay-many
-// arena: a Recording's event stream framed as the columnar codec's
+// This file is the serialization half of a capture: a Recording's
+// event stream framed as the columnar codec's
 // self-contained chunks, so the on-disk trace store (internal/
 // tracestore) is mostly framing plus an index. The wire layout is
 // canonical — chunk boundaries fall every RecordChunkEvents events

@@ -1,10 +1,11 @@
-// Package tracestore is the persistent half of the record-once/
-// replay-many discipline: a content-addressed on-disk store of
-// compressed recordings plus a small key→blob index for memoized cell
-// tallies and trace references. It is what lets a grid run begin hot
-// — a process restart (or a CI run restoring a cached directory)
-// replays and memoizes from disk instead of re-executing every cell
-// from zero.
+// Package tracestore is the persistent warm-start store: a
+// content-addressed on-disk store of compressed recordings plus a
+// small key→blob index for memoized cell tallies and trace
+// references. It is what lets a grid run begin hot — a process
+// restart (or a CI run restoring a cached directory) answers a cell
+// from its stored tally, or the same workload on a new platform from
+// its stored first-pass capture, instead of re-executing it from
+// zero. A stored capture is the only stream the harness ever replays.
 //
 // Layout under the store directory:
 //

@@ -74,54 +74,6 @@ func TestMultiPipelineMatchesSoloDrains(t *testing.T) {
 	}
 }
 
-// TestDrainMultiMatchesDrain pins the trace-level multi-sink drain:
-// Recording.DrainMulti over K pipelines leaves each exactly as its
-// own Recording.Drain would.
-func TestDrainMultiMatchesDrain(t *testing.T) {
-	cfgs := multiTestConfigs()
-	rec := record(synthBatch(1 << 17))
-
-	ganged := make([]*Pipeline, len(cfgs))
-	sinks := make([]trace.BatchProcessor, len(cfgs))
-	for i, cfg := range cfgs {
-		ganged[i] = New(cfg)
-		sinks[i] = ganged[i]
-	}
-	rec.DrainMulti(sinks...)
-
-	for i, cfg := range cfgs {
-		solo := New(cfg)
-		rec.Drain(solo)
-		assertPipesEqual(t, fmt.Sprintf("config %d", i), ganged[i], solo)
-	}
-}
-
-// TestFanoutMatchesSoloBatches pins the BatchProcessor fan-in: a
-// trace.Fanout over K pipelines is equivalent to feeding each the
-// same batches directly.
-func TestFanoutMatchesSoloBatches(t *testing.T) {
-	cfgs := multiTestConfigs()[:3]
-	events := synthBatch(1 << 16)
-
-	ganged := make([]*Pipeline, len(cfgs))
-	fan := make(trace.Fanout, len(cfgs))
-	for i, cfg := range cfgs {
-		ganged[i] = New(cfg)
-		fan[i] = ganged[i]
-	}
-	for start := 0; start < len(events); start += 4096 {
-		fan.ProcessBatch(events[start : start+4096])
-	}
-
-	for i, cfg := range cfgs {
-		solo := New(cfg)
-		for start := 0; start < len(events); start += 4096 {
-			solo.ProcessBatch(events[start : start+4096])
-		}
-		assertPipesEqual(t, fmt.Sprintf("config %d", i), ganged[i], solo)
-	}
-}
-
 // decodeFuzzEvents turns fuzz bytes into a deterministic event stream
 // shaped like the engine's: fetches, single- and multi-line loads and
 // stores, bursts, stalls, record marks, and branches — including
